@@ -606,9 +606,15 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
   };
 
   // Skew rebalancing: move one stream from the most to the least loaded
-  // shard when the spread reaches the threshold.
+  // shard when the spread reaches the threshold. `load` moves only when an
+  // implant lands, so while a migration is in flight the spread still
+  // counts the moving stream on its source; rebalancing again then would
+  // overshoot and bounce streams back. Wait for it to settle.
   auto maybe_rebalance = [&] {
     if (options_.rebalance_threshold <= 0) return;
+    for (const StreamState& state : streams) {
+      if (state.migrating && !state.terminal) return;
+    }
     int busiest = -1, idlest = -1;
     for (int i = 0; i < options_.num_shards; ++i) {
       if (dead[static_cast<size_t>(i)]) continue;

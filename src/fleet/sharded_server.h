@@ -82,7 +82,8 @@ struct FleetOptions {
   int max_restarts = 2;
   /// When > 0, the coordinator migrates a stream off the most loaded
   /// shard whenever its live-stream count exceeds the least loaded one's
-  /// by at least this much. 0 disables skew rebalancing.
+  /// by at least this much, one migration in flight at a time. 0 disables
+  /// skew rebalancing.
   int rebalance_threshold = 0;
   /// Per-shard scheduler knobs (its fleet_breaker field is ignored: all
   /// shards publish into the single fleet-wide registry below).

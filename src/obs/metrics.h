@@ -14,7 +14,7 @@
 //     last-write-wins and excluded) for determinism gates.
 //
 //   kWall — real wall-clock measurements and process bookkeeping
-//     (checkpoint write latency, scheduler rounds, batch sizes). Reported
+//     (checkpoint write latency, scheduler rounds, DRR charges). Reported
 //     alongside but never mixed into the deterministic fingerprint.
 //
 // Concurrency. Registration (Counter/Gauge/Histogram) takes a mutex and

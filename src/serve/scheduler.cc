@@ -269,11 +269,9 @@ void StreamScheduler::StepSlotRound(Slot& slot, uint64_t round) {
   while (slot.status.ok() && !session.done() && slot.deficit_ms > 0.0 &&
          frames_this_round < options_.max_frames_per_round) {
     const double cost_before = session.charged_cost_ms();
-    if (dispatcher_ != nullptr) dispatcher_->BeginStep();
     Stopwatch frame_watch;
     const Status status = session.StepFrame(round);
     const double latency = frame_watch.ElapsedMillis();
-    if (dispatcher_ != nullptr) dispatcher_->EndStep();
     if (options_.record_frame_latency) slot.latency_ms.push_back(latency);
     ++slot.frames;
     ++frames_this_round;
@@ -504,7 +502,6 @@ Result<ServeReport> StreamScheduler::FinishServing() {
     stats_.degradation_level = controller_->level();
     stats_.degradations = controller_->ledger();
   }
-  if (dispatcher_ != nullptr) stats_.batching = dispatcher_->stats();
   stats_.fleet_health = registry_->Snapshot(round_);
   report.stats = stats_;
   return report;
