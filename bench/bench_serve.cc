@@ -43,11 +43,9 @@
 #include "obs/export.h"
 #include "obs/obs.h"
 #include "fleet/sharded_server.h"
-#include "core/baselines.h"
-#include "core/ducb.h"
 #include "core/engine.h"
 #include "core/lazy_frame_evaluator.h"
-#include "core/mes.h"
+#include "core/strategy_factory.h"
 #include "models/model_zoo.h"
 #include "serve/scheduler.h"
 #include "serve/stream_session.h"
@@ -67,24 +65,13 @@ struct StreamSpec {
   SkipOptions skip;  // default: off
 };
 
-std::unique_ptr<SelectionStrategy> MakeStrategy(const std::string& kind) {
-  if (kind == "MES") {
-    MesOptions o;
-    o.gamma = 2;
-    return std::make_unique<MesStrategy>(o);
-  }
-  if (kind == "SW-MES") {
-    SwMesOptions o;
-    o.gamma = 2;
-    o.window = 64;
-    return std::make_unique<SwMesStrategy>(o);
-  }
-  if (kind == "D-MES") {
-    DucbOptions o;
-    o.gamma = 2;
-    return std::make_unique<DucbMesStrategy>(o);
-  }
-  return std::make_unique<RandomStrategy>();
+/// Streams build their strategy from the core registry: γ = 2 and, for
+/// SW-MES, λ = 64.
+std::unique_ptr<SelectionStrategy> StreamStrategy(const std::string& kind) {
+  StrategyParams params;
+  params.gamma = 2;
+  params.window = 64;
+  return std::move(MakeStrategy(kind, params)).value();
 }
 
 StreamSpec MakeSpec(size_t i) {
@@ -125,7 +112,7 @@ std::unique_ptr<StreamSession> MakeSession(const Video& video,
     cfg.model_names.push_back(det->name());
   }
   return std::move(StreamSession::Create(std::move(cfg), std::move(source),
-                                         MakeStrategy(spec.strategy), {}))
+                                         StreamStrategy(spec.strategy), {}))
       .value();
 }
 
@@ -217,7 +204,7 @@ Result<std::unique_ptr<StreamSession>> BuildFleetSession(
     cfg.model_names.push_back(det->name());
   }
   return StreamSession::Create(std::move(cfg), std::move(source),
-                               MakeStrategy(spec.strategy), {});
+                               StreamStrategy(spec.strategy), {});
 }
 
 }  // namespace
@@ -264,7 +251,7 @@ int main(int argc, char** argv) {
     auto source = std::move(LazyFrameEvaluator::Create(
                                 video, pool, sspec.trial_seed, {}))
                       .value();
-    auto strategy = MakeStrategy(sspec.strategy);
+    auto strategy = StreamStrategy(sspec.strategy);
     solo[i] =
         std::move(RunStrategy(*source, strategy.get(), MakeEngine(sspec)))
             .value();
@@ -374,7 +361,7 @@ int main(int argc, char** argv) {
     auto base_source = std::move(LazyFrameEvaluator::Create(
                                      svideo, pool, base_spec.trial_seed, {}))
                            .value();
-    auto base_strategy = MakeStrategy(base_spec.strategy);
+    auto base_strategy = StreamStrategy(base_spec.strategy);
     Stopwatch base_watch;
     const RunResult base =
         std::move(RunStrategy(*base_source, base_strategy.get(),
@@ -390,7 +377,7 @@ int main(int argc, char** argv) {
         auto source = std::move(LazyFrameEvaluator::Create(
                                     svideo, pool, spec.trial_seed, {}))
                           .value();
-        auto strategy = MakeStrategy(spec.strategy);
+        auto strategy = StreamStrategy(spec.strategy);
         Stopwatch watch;
         const RunResult run =
             std::move(RunStrategy(*source, strategy.get(), MakeEngine(spec)))
@@ -450,7 +437,7 @@ int main(int argc, char** argv) {
     auto source = std::move(LazyFrameEvaluator::Create(lowmotion, pool,
                                                        spec.trial_seed, {}))
                       .value();
-    auto strategy = MakeStrategy(spec.strategy);
+    auto strategy = StreamStrategy(spec.strategy);
     skip_solo.push_back(
         std::move(RunStrategy(*source, strategy.get(), MakeEngine(spec)))
             .value());

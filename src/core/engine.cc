@@ -38,13 +38,7 @@ Result<std::vector<uint8_t>> BuildEngineSnapshot(
   }
   WriteRunResult(snap.AddSection(kEngineResultSection), result);
   VQE_RETURN_NOT_OK(strategy.SaveState(snap.AddSection(kStrategySection)));
-  {
-    ByteWriter& w = snap.AddSection(kBreakersSection);
-    w.U64(breakers.size());
-    for (const CircuitBreaker& b : breakers) {
-      VQE_RETURN_NOT_OK(b.SaveState(w));
-    }
-  }
+  VQE_RETURN_NOT_OK(WriteBreakers(snap.AddSection(kBreakersSection), breakers));
   if (gate != nullptr) {
     ByteWriter& w = snap.AddSection(kTemporalSection);
     w.F64(last_max_cost_ms);
@@ -97,14 +91,7 @@ Status RestoreEngineRun(const SnapshotReader& snap,
   VQE_RETURN_NOT_OK(strat.ExpectEnd());
 
   VQE_ASSIGN_OR_RETURN(ByteReader brk, snap.Section(kBreakersSection));
-  uint64_t breaker_count = 0;
-  VQE_RETURN_NOT_OK(brk.U64(&breaker_count));
-  if (breaker_count != breakers->size()) {
-    return Status::DataLoss("checkpoint breaker count mismatch");
-  }
-  for (CircuitBreaker& b : *breakers) {
-    VQE_RETURN_NOT_OK(b.RestoreState(brk));
-  }
+  VQE_RETURN_NOT_OK(ReadBreakers(brk, breakers));
   VQE_RETURN_NOT_OK(brk.ExpectEnd());
 
   if (gate != nullptr) {

@@ -1,18 +1,8 @@
 #include "core/engine_snapshot.h"
 
-#include <bit>
 #include <cmath>
 
 namespace vqe {
-namespace {
-
-/// Exact bit equality for doubles (configuration fingerprints must match
-/// the saved run exactly; tolerance would admit drifting results).
-bool SameBits(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
-
-}  // namespace
 
 Status EngineRunIdentity::ExpectMatches(const EngineRunIdentity& other) const {
   if (strategy_name != other.strategy_name) {
@@ -92,6 +82,27 @@ Status ReadEngineIdentity(ByteReader& r, EngineRunIdentity* id) {
   id->breaker.failure_threshold = static_cast<int>(failure_threshold);
   id->breaker.open_frames = static_cast<size_t>(open_frames);
   id->breaker.half_open_probes = static_cast<int>(half_open_probes);
+  return Status::OK();
+}
+
+Status WriteBreakers(ByteWriter& w,
+                     const std::vector<CircuitBreaker>& breakers) {
+  w.U64(breakers.size());
+  for (const CircuitBreaker& b : breakers) {
+    VQE_RETURN_NOT_OK(b.SaveState(w));
+  }
+  return Status::OK();
+}
+
+Status ReadBreakers(ByteReader& r, std::vector<CircuitBreaker>* breakers) {
+  uint64_t count = 0;
+  VQE_RETURN_NOT_OK(r.U64(&count));
+  if (count != breakers->size()) {
+    return Status::DataLoss("checkpoint breaker count mismatch");
+  }
+  for (CircuitBreaker& b : *breakers) {
+    VQE_RETURN_NOT_OK(b.RestoreState(r));
+  }
   return Status::OK();
 }
 

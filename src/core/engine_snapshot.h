@@ -1,8 +1,10 @@
 // Serialization of the engine's snapshot sections: the run identity
 // (configuration fingerprint a snapshot must match before resuming), the
-// partial RunResult accumulators, and the TimeBreakdown. Exposed as free
-// functions so tests can round-trip accounting structures directly and so
-// the query executor reuses the same wire helpers.
+// partial RunResult accumulators, the TimeBreakdown, and the per-model
+// breaker section. Exposed as free functions so tests can round-trip
+// accounting structures directly and so the query executor reuses the
+// same wire helpers (its checkpoints carry the same identity core and the
+// same breakers section).
 //
 // Section layout inside a RunStrategy checkpoint (container format in
 // snapshot/snapshot.h):
@@ -23,6 +25,7 @@
 #define VQE_CORE_ENGINE_SNAPSHOT_H_
 
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "core/engine.h"
@@ -67,6 +70,13 @@ struct EngineRunIdentity {
 
 void WriteEngineIdentity(ByteWriter& w, const EngineRunIdentity& id);
 Status ReadEngineIdentity(ByteReader& r, EngineRunIdentity* id);
+
+/// The breakers section: a count, then each breaker's state machine.
+/// ReadBreakers restores into `breakers` in place and returns DataLoss
+/// when the count differs from its size.
+Status WriteBreakers(ByteWriter& w,
+                     const std::vector<CircuitBreaker>& breakers);
+Status ReadBreakers(ByteReader& r, std::vector<CircuitBreaker>* breakers);
 
 void WriteTimeBreakdown(ByteWriter& w, const TimeBreakdown& tb);
 Status ReadTimeBreakdown(ByteReader& r, TimeBreakdown* tb);

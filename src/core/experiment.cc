@@ -2,8 +2,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/baselines.h"
-#include "core/mes.h"
+#include "core/strategy_factory.h"
 
 namespace vqe {
 namespace {
@@ -273,22 +272,16 @@ Result<ExperimentResult> RunExperiment(
 
 std::vector<StrategySpec> DefaultTuviStrategies(size_t gamma,
                                                 size_t ef_explore) {
-  return {
-      {"OPT", [] { return std::make_unique<OptStrategy>(); }},
-      {"BF", [] { return std::make_unique<BruteForceStrategy>(); }},
-      {"SGL", [] { return std::make_unique<SingleBestStrategy>(); }},
-      {"RAND", [] { return std::make_unique<RandomStrategy>(); }},
-      {"EF",
-       [ef_explore] {
-         return std::make_unique<ExploreFirstStrategy>(ef_explore);
-       }},
-      {"MES",
-       [gamma] {
-         MesOptions opt;
-         opt.gamma = gamma;
-         return std::make_unique<MesStrategy>(opt);
-       }},
-  };
+  StrategyParams params;
+  params.gamma = gamma;
+  params.ef_explore = ef_explore;
+  std::vector<StrategySpec> specs;
+  for (const char* name : {"OPT", "BF", "SGL", "RAND", "EF", "MES"}) {
+    specs.push_back({name, [name, params] {
+                       return std::move(MakeStrategy(name, params)).value();
+                     }});
+  }
+  return specs;
 }
 
 }  // namespace vqe

@@ -16,7 +16,6 @@ FrameEvalContext::FrameEvalContext(const VideoFrame& frame,
   model_out_.resize(m);
   model_cost_ms_.resize(m);
   model_fault_ms_.assign(m, 0.0);
-  model_ok_.assign(m, 0);
   // Materialize per-model outputs once (the reuse of Alg. 1 lines 9-10),
   // each call routed through the deadline/retry choke point. The default
   // policy on a plain detector reduces to Detect + InferenceCostMs in the
@@ -31,7 +30,6 @@ FrameEvalContext::FrameEvalContext(const VideoFrame& frame,
     model_fault_ms_[i] = call.fault_ms;
     if (call.ok()) {
       model_out_[i] = std::move(call.detections);
-      model_ok_[i] = 1;
       available_mask_ |= Singleton(static_cast<int>(i));
     }
   }
@@ -39,11 +37,32 @@ FrameEvalContext::FrameEvalContext(const VideoFrame& frame,
   ref_cost_ms_ = pool.reference->InferenceCostMs(frame, trial_seed);
   const GroundTruthList ref_gt =
       DetectionsAsGroundTruth(ref_out, options.ref_confidence_threshold);
+  IndexFrame(&ref_gt, &frame.objects);
+}
 
+FrameEvalContext::FrameEvalContext(std::vector<DetectionList> model_out,
+                                   std::vector<double> model_cost_ms,
+                                   EnsembleId available_mask,
+                                   const GroundTruthList* ref_gt,
+                                   const GroundTruthList* gt,
+                                   const MatrixOptions& options,
+                                   const EnsembleMethod& fusion)
+    : options_(&options),
+      fusion_(&fusion),
+      model_out_(std::move(model_out)),
+      model_cost_ms_(std::move(model_cost_ms)),
+      available_mask_(available_mask) {
+  IndexFrame(ref_gt, gt);
+}
+
+void FrameEvalContext::IndexFrame(const GroundTruthList* ref_gt,
+                                  const GroundTruthList* gt) {
   // Per-frame invariants of the mask loop, built once and reused across
   // every evaluation.
-  ref_index_ = BuildGroundTruthIndex(ref_gt);
-  gt_index_ = BuildGroundTruthIndex(frame.objects);
+  has_ref_ = ref_gt != nullptr;
+  has_gt_ = gt != nullptr;
+  if (has_ref_) ref_index_ = BuildGroundTruthIndex(*ref_gt);
+  if (has_gt_) gt_index_ = BuildGroundTruthIndex(*gt);
   // The SoA store is built for every fusion method: its per-class,
   // presorted pools feed the grouped flatten of all 2^m − 1 mask
   // evaluations. The pairwise-IoU tile on top of it pays off only for
@@ -52,10 +71,9 @@ FrameEvalContext::FrameEvalContext(const VideoFrame& frame,
   // construction overhead there.
   const int num_ids = AssignFrameDetIds(model_out_);
   soa_ = FrameSoA(model_out_, num_ids);
-  if (fusion.ConsumesIouCache()) {
+  if (fusion_->ConsumesIouCache()) {
     iou_cache_ = PairwiseIouCache(soa_);
   }
-  inputs_.reserve(m);
   // Warm the reused fused-output buffer: no fusion method emits more
   // boxes than it was given, so the mask loop never regrows it.
   size_t total_boxes = 0;
@@ -75,26 +93,30 @@ double FrameEvalContext::FullEnsembleCostMs() const {
 
 MaskEvaluation FrameEvalContext::Evaluate(EnsembleId mask,
                                           DetectionList* fused_out) {
-  inputs_.clear();
+  size_t num_inputs = 0;
   size_t num_boxes = 0;
   double model_cost = 0.0;
   const int m = num_models();
   for (int i = 0; i < m; ++i) {
     if (!ContainsModel(mask, i)) continue;
     const DetectionList& out_i = model_out_[static_cast<size_t>(i)];
-    inputs_.push_back(&out_i);
+    inputs_[num_inputs++] = &out_i;
     num_boxes += out_i.size();
     model_cost += model_cost_ms_[static_cast<size_t>(i)];
   }
-  fusion_->FuseInto(DetectionListSpan(inputs_),
+  fusion_->FuseInto(DetectionListSpan(inputs_.data(), num_inputs),
                     iou_cache_.enabled() ? &iou_cache_ : nullptr, &soa_,
                     &fused_scratch_);
 
   MaskEvaluation e;
   e.fusion_overhead_ms = SimulatedFusionOverheadMs(num_boxes);
   e.cost_ms = model_cost + e.fusion_overhead_ms;
-  e.est_ap = FrameMeanAp(fused_scratch_, ref_index_, options_->ap);
-  e.true_ap = FrameMeanAp(fused_scratch_, gt_index_, options_->ap);
+  if (has_ref_) {
+    e.est_ap = FrameMeanAp(fused_scratch_, ref_index_, options_->ap);
+  }
+  if (has_gt_) {
+    e.true_ap = FrameMeanAp(fused_scratch_, gt_index_, options_->ap);
+  }
   if (fused_out != nullptr) *fused_out = fused_scratch_;
   return e;
 }

@@ -1,15 +1,19 @@
-// Shared per-frame evaluation kernel: runs every detector and the
-// reference model on one frame, caches their outputs and the per-class
-// ground-truth indexes, and evaluates any ensemble mask on demand. Both
-// the eager BuildFrameMatrix (which materializes all 2^m − 1 masks) and
-// the LazyFrameEvaluator (which materializes only what a strategy touches)
-// run their mask evaluations through this one code path, so lazy and eager
-// results are bit-identical *by construction*, not by parallel maintenance
-// of two arithmetic pipelines.
+// Shared per-frame evaluation kernel: caches one frame's per-model
+// detector outputs and the per-class ground-truth indexes, and evaluates
+// any ensemble mask on demand. Both the eager BuildFrameMatrix (which
+// materializes all 2^m − 1 masks) and the LazyFrameEvaluator (which
+// materializes only what a strategy touches) run their mask evaluations
+// through this one code path, so lazy and eager results are bit-identical
+// *by construction*, not by parallel maintenance of two arithmetic
+// pipelines. The online query executor scores its realized subset lattice
+// (the Alg. 1 subset reuse) through the same kernel, over member outputs
+// it ran itself: it has no ground truth, and runs REF only when its
+// strategy learns from it, so those indexes are optional.
 
 #ifndef VQE_CORE_FRAME_EVAL_H_
 #define VQE_CORE_FRAME_EVAL_H_
 
+#include <array>
 #include <vector>
 
 #include "core/ensemble_id.h"
@@ -45,9 +49,12 @@ struct MaskEvaluation {
 };
 
 /// All per-frame state the mask loop reuses: cached per-model detections
-/// and costs, the reference pseudo-ground-truth index, the true
-/// ground-truth index, and (when the fusion method consumes it) the
-/// pairwise-IoU tile over the cached detections.
+/// and costs, the reference pseudo-ground-truth index and the true
+/// ground-truth index (each when given), and (when the fusion method
+/// consumes it) the pairwise-IoU tile over the cached detections.
+///
+/// Pools hold at most kMaxPoolSize models (BuildFrameMatrix,
+/// LazyFrameEvaluator::Create and BuildPool enforce it).
 ///
 /// Not thread-safe: Evaluate reuses a scratch buffer. Parallel callers
 /// build one context per frame (frames are independent pure functions of
@@ -61,6 +68,19 @@ class FrameEvalContext {
                    uint64_t trial_seed, const MatrixOptions& options,
                    const EnsembleMethod& fusion);
 
+  /// Caches member outputs the caller already ran: `model_out` and
+  /// `model_cost_ms` are index-aligned with the pool (empty output and
+  /// zero cost for a model that did not run or failed), and
+  /// `available_mask` marks the models whose output exists. The REF index
+  /// is built only when `ref_gt` is non-null and the ground-truth index
+  /// only when `gt` is non-null; without them Evaluate leaves est_ap and
+  /// true_ap at 0. model_fault_ms() is empty: the caller accounts its own
+  /// fault time. `options` and `fusion` must outlive the context.
+  FrameEvalContext(std::vector<DetectionList> model_out,
+                   std::vector<double> model_cost_ms, EnsembleId available_mask,
+                   const GroundTruthList* ref_gt, const GroundTruthList* gt,
+                   const MatrixOptions& options, const EnsembleMethod& fusion);
+
   int num_models() const { return static_cast<int>(model_out_.size()); }
   const std::vector<double>& model_cost_ms() const { return model_cost_ms_; }
   double ref_cost_ms() const { return ref_cost_ms_; }
@@ -71,9 +91,6 @@ class FrameEvalContext {
   /// Per-model wasted time (failed attempts + backoff); part of
   /// model_cost_ms, split out so callers can report fault time separately.
   const std::vector<double>& model_fault_ms() const { return model_fault_ms_; }
-  bool model_ok(int i) const {
-    return model_ok_[static_cast<size_t>(i)] != 0;
-  }
 
   /// c_{M|v} of the full pool: Σ over all models (ascending index) plus
   /// the fusion overhead of every cached box. Bit-identical to
@@ -98,19 +115,25 @@ class FrameEvalContext {
   const FrameSoA& soa() const { return soa_; }
 
  private:
+  /// Builds the per-frame invariants of the mask loop over model_out_.
+  void IndexFrame(const GroundTruthList* ref_gt, const GroundTruthList* gt);
+
   const MatrixOptions* options_;
   const EnsembleMethod* fusion_;
   std::vector<DetectionList> model_out_;
   std::vector<double> model_cost_ms_;
   std::vector<double> model_fault_ms_;
-  std::vector<uint8_t> model_ok_;
   EnsembleId available_mask_ = 0;
   double ref_cost_ms_ = 0.0;
+  bool has_ref_ = false;
+  bool has_gt_ = false;
   GroundTruthIndex ref_index_;
   GroundTruthIndex gt_index_;
   FrameSoA soa_;
   PairwiseIouCache iou_cache_;
-  std::vector<const DetectionList*> inputs_;  // scratch for Evaluate
+  // Evaluate's member list: fixed capacity, so building a context per
+  // frame allocates nothing for it.
+  std::array<const DetectionList*, kMaxPoolSize> inputs_{};
   DetectionList fused_scratch_;               // reused fused-output buffer
 };
 

@@ -53,6 +53,10 @@ class DetectionListSpan {
   /// View over a vector of non-null list pointers.
   DetectionListSpan(const std::vector<const DetectionList*>& ptrs)
       : indirect_(ptrs.data()), size_(ptrs.size()) {}
+  /// View over `n` non-null list pointers starting at `ptrs`, which must
+  /// outlive the span.
+  DetectionListSpan(const DetectionList* const* ptrs, size_t n)
+      : indirect_(ptrs), size_(n) {}
   /// View over `n` contiguous lists starting at `data`, which must outlive
   /// the span.
   DetectionListSpan(const DetectionList* data, size_t n)

@@ -1,26 +1,22 @@
 #include "query/executor.h"
 
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
 
 #include "common/stopwatch.h"
-#include "snapshot/snapshot.h"
-#include "snapshot/wire.h"
 #include "common/strings.h"
-#include "core/baselines.h"
+#include "core/engine_snapshot.h"
 #include "core/frame_eval.h"
-#include "core/mes.h"
-#include "core/mes_b.h"
+#include "core/strategy_factory.h"
 #include "detection/ap.h"
-#include "detection/frame_soa.h"
-#include "fusion/iou_cache.h"
 #include "models/model_zoo.h"
+#include "query/explain.h"
 #include "query/parser.h"
 #include "query/predicate.h"
-#include "runtime/resilient_detector.h"
 #include "sim/dataset.h"
+#include "snapshot/snapshot.h"
+#include "snapshot/wire.h"
 #include "temporal/gate.h"
 #include "track/tracker.h"
 
@@ -33,7 +29,6 @@ Status QueryEngineOptions::Validate() const {
   if (gamma < 1) return Status::InvalidArgument("gamma must be >= 1");
   if (sw_window < 2) return Status::InvalidArgument("sw_window must be >= 2");
   VQE_RETURN_NOT_OK(sc.Validate());
-  VQE_RETURN_NOT_OK(retry.Validate());
   VQE_RETURN_NOT_OK(breaker.Validate());
   for (const FaultScript& script : fault_scripts) {
     VQE_RETURN_NOT_OK(script.Validate());
@@ -45,114 +40,115 @@ Status QueryEngineOptions::Validate() const {
 
 namespace {
 
-// Section names of a query checkpoint (container format in
-// snapshot/snapshot.h).
+// Query-only section names of a query checkpoint (container format in
+// snapshot/snapshot.h). The strategy, breakers and temporal sections are
+// the engine's (core/engine_snapshot.h), written by the same helpers.
 constexpr char kQueryMetaSection[] = "query.meta";
 constexpr char kQueryCursorSection[] = "query.cursor";
 constexpr char kQueryOutputSection[] = "query.output";
-constexpr char kQueryStrategySection[] = "strategy";
-constexpr char kQueryRuntimeSection[] = "runtime";
+// Present only when a TRACKS() predicate runs without the skip gate: when
+// the gate is enabled its tracker (in the temporal section) is the only
+// tracker in the run.
 constexpr char kQueryTrackerSection[] = "tracker";
-// Skip gate state (policy + propagation tracker); present only in
-// skip-enabled runs. When the gate is enabled it owns the only tracker in
-// the run, so the standalone tracker section is not written.
-constexpr char kQueryTemporalSection[] = "temporal";
 
-bool SameBits(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
-
-/// The configuration fingerprint a query checkpoint was taken under.
-/// Resuming under a different fingerprint would silently change the query's
-/// output, so every determinism-affecting knob is compared exactly.
+/// The configuration fingerprint a query checkpoint was taken under: the
+/// engine's identity core (USING name, pool size, video length, strategy
+/// seed, budget, scoring weights, breaker and skip knobs) plus every knob
+/// only a query has. Resuming under a different fingerprint would silently
+/// change the query's output, so every field is compared exactly.
 struct QueryRunIdentity {
-  std::string strategy_name;  // canonical (upper-cased) USING name
+  EngineRunIdentity engine;
   std::string video_name;
-  int num_models = 0;
-  uint64_t num_video_frames = 0;
+  /// Canonical WHERE text (PredicateToString).
+  std::string where;
+  std::vector<std::string> model_names;
   uint64_t stride = 1;
-  uint64_t seed = 0;
+  uint64_t sample_seed = 0;
   double scene_scale = 0.0;
-  double budget_ms = 0.0;
   uint64_t limit = 0;
-  ScoringFunction sc;
   uint64_t gamma = 0;
+  /// The effective λ, so a checkpoint taken with a WINDOW clause cannot
+  /// resume under a different window.
   uint64_t sw_window = 0;
-  SkipOptions skip;
+  RetryPolicy retry;
+  FusionKind fusion = FusionKind::kWbf;
 
   Status ExpectMatches(const QueryRunIdentity& other) const {
-    if (strategy_name != other.strategy_name ||
-        video_name != other.video_name) {
+    VQE_RETURN_NOT_OK(engine.ExpectMatches(other.engine));
+    if (video_name != other.video_name || model_names != other.model_names) {
       return Status::FailedPrecondition(
-          "checkpoint belongs to a different query (strategy/video)");
+          "checkpoint belongs to a different video or pool");
     }
-    if (num_models != other.num_models ||
-        num_video_frames != other.num_video_frames ||
-        stride != other.stride) {
-      return Status::FailedPrecondition(
-          "checkpoint pool/video shape differs from this query");
+    if (where != other.where || limit != other.limit) {
+      return Status::FailedPrecondition("checkpoint WHERE/LIMIT differs");
     }
-    if (seed != other.seed || !SameBits(scene_scale, other.scene_scale)) {
-      return Status::FailedPrecondition("checkpoint sampling seed differs");
-    }
-    if (!SameBits(budget_ms, other.budget_ms) || limit != other.limit) {
-      return Status::FailedPrecondition("checkpoint budget/limit differs");
-    }
-    if (!SameBits(sc.w1, other.sc.w1) || !SameBits(sc.w2, other.sc.w2) ||
-        sc.form != other.sc.form) {
-      return Status::FailedPrecondition("checkpoint scoring function differs");
+    if (stride != other.stride || sample_seed != other.sample_seed ||
+        !SameBits(scene_scale, other.scene_scale)) {
+      return Status::FailedPrecondition("checkpoint video sampling differs");
     }
     if (gamma != other.gamma || sw_window != other.sw_window) {
       return Status::FailedPrecondition("checkpoint bandit knobs differ");
     }
-    return ExpectSkipOptionsMatch(skip, other.skip);
+    if (retry.max_attempts != other.retry.max_attempts ||
+        !SameBits(retry.deadline_ms, other.retry.deadline_ms) ||
+        !SameBits(retry.backoff_base_ms, other.retry.backoff_base_ms) ||
+        !SameBits(retry.backoff_multiplier, other.retry.backoff_multiplier)) {
+      return Status::FailedPrecondition("checkpoint retry policy differs");
+    }
+    if (fusion != other.fusion) {
+      return Status::FailedPrecondition("checkpoint fusion method differs");
+    }
+    return Status::OK();
   }
 };
 
 void WriteQueryIdentity(ByteWriter& w, const QueryRunIdentity& id) {
-  w.Str(id.strategy_name);
+  WriteEngineIdentity(w, id.engine);
   w.Str(id.video_name);
-  w.I64(id.num_models);
-  w.U64(id.num_video_frames);
+  w.Str(id.where);
+  w.U64(id.model_names.size());
+  for (const std::string& name : id.model_names) w.Str(name);
   w.U64(id.stride);
-  w.U64(id.seed);
+  w.U64(id.sample_seed);
   w.F64(id.scene_scale);
-  w.F64(id.budget_ms);
   w.U64(id.limit);
-  w.F64(id.sc.w1);
-  w.F64(id.sc.w2);
-  w.U8(static_cast<uint8_t>(id.sc.form));
   w.U64(id.gamma);
   w.U64(id.sw_window);
-  WriteSkipOptionsIdentity(w, id.skip);
+  w.I64(id.retry.max_attempts);
+  w.F64(id.retry.deadline_ms);
+  w.F64(id.retry.backoff_base_ms);
+  w.F64(id.retry.backoff_multiplier);
+  w.U8(static_cast<uint8_t>(id.fusion));
 }
 
 Status ReadQueryIdentity(ByteReader& r, QueryRunIdentity* id) {
-  int64_t num_models = 0;
-  uint8_t form = 0;
-  VQE_RETURN_NOT_OK(r.Str(&id->strategy_name));
+  VQE_RETURN_NOT_OK(ReadEngineIdentity(r, &id->engine));
   VQE_RETURN_NOT_OK(r.Str(&id->video_name));
-  VQE_RETURN_NOT_OK(r.I64(&num_models));
-  VQE_RETURN_NOT_OK(r.U64(&id->num_video_frames));
+  VQE_RETURN_NOT_OK(r.Str(&id->where));
+  uint64_t num_names = 0;
+  VQE_RETURN_NOT_OK(r.U64(&num_names));
+  if (num_names > static_cast<uint64_t>(kMaxPoolSize)) {
+    return Status::DataLoss("query identity model-name count out of range");
+  }
+  id->model_names.resize(static_cast<size_t>(num_names));
+  for (std::string& name : id->model_names) {
+    VQE_RETURN_NOT_OK(r.Str(&name));
+  }
+  int64_t max_attempts = 0;
+  uint8_t fusion = 0;
   VQE_RETURN_NOT_OK(r.U64(&id->stride));
-  VQE_RETURN_NOT_OK(r.U64(&id->seed));
+  VQE_RETURN_NOT_OK(r.U64(&id->sample_seed));
   VQE_RETURN_NOT_OK(r.F64(&id->scene_scale));
-  VQE_RETURN_NOT_OK(r.F64(&id->budget_ms));
   VQE_RETURN_NOT_OK(r.U64(&id->limit));
-  VQE_RETURN_NOT_OK(r.F64(&id->sc.w1));
-  VQE_RETURN_NOT_OK(r.F64(&id->sc.w2));
-  VQE_RETURN_NOT_OK(r.U8(&form));
   VQE_RETURN_NOT_OK(r.U64(&id->gamma));
   VQE_RETURN_NOT_OK(r.U64(&id->sw_window));
-  VQE_RETURN_NOT_OK(ReadSkipOptionsIdentity(r, &id->skip));
-  if (num_models < 1 || num_models > kMaxPoolSize) {
-    return Status::DataLoss("query identity num_models out of range");
-  }
-  if (form > static_cast<uint8_t>(ScoreForm::kLinear)) {
-    return Status::DataLoss("query identity score form out of range");
-  }
-  id->num_models = static_cast<int>(num_models);
-  id->sc.form = static_cast<ScoreForm>(form);
+  VQE_RETURN_NOT_OK(r.I64(&max_attempts));
+  VQE_RETURN_NOT_OK(r.F64(&id->retry.deadline_ms));
+  VQE_RETURN_NOT_OK(r.F64(&id->retry.backoff_base_ms));
+  VQE_RETURN_NOT_OK(r.F64(&id->retry.backoff_multiplier));
+  VQE_RETURN_NOT_OK(r.U8(&fusion));
+  id->retry.max_attempts = static_cast<int>(max_attempts);
+  id->fusion = static_cast<FusionKind>(fusion);
   return Status::OK();
 }
 
@@ -212,7 +208,7 @@ Status ReadQueryOutput(ByteReader& r, QueryOutput* out) {
 Result<std::vector<uint8_t>> BuildQuerySnapshot(
     const QueryRunIdentity& identity, size_t next_t, size_t next_iteration,
     const QueryOutput& out, const SelectionStrategy& strategy,
-    const std::vector<ResilientDetector>& runtime, const IouTracker* tracker,
+    const std::vector<CircuitBreaker>& breakers, const IouTracker* tracker,
     const TemporalGate* gate) {
   SnapshotWriter snap;
   WriteQueryIdentity(snap.AddSection(kQueryMetaSection), identity);
@@ -222,20 +218,14 @@ Result<std::vector<uint8_t>> BuildQuerySnapshot(
     w.U64(next_iteration);
   }
   WriteQueryOutput(snap.AddSection(kQueryOutputSection), out);
-  VQE_RETURN_NOT_OK(strategy.SaveState(snap.AddSection(kQueryStrategySection)));
-  {
-    ByteWriter& w = snap.AddSection(kQueryRuntimeSection);
-    w.U64(runtime.size());
-    for (const ResilientDetector& d : runtime) {
-      VQE_RETURN_NOT_OK(d.SaveState(w));
-    }
-  }
+  VQE_RETURN_NOT_OK(strategy.SaveState(snap.AddSection(kStrategySection)));
+  VQE_RETURN_NOT_OK(WriteBreakers(snap.AddSection(kBreakersSection), breakers));
   if (tracker != nullptr) {
     VQE_RETURN_NOT_OK(
         tracker->SaveState(snap.AddSection(kQueryTrackerSection)));
   }
   if (gate != nullptr) {
-    VQE_RETURN_NOT_OK(gate->SaveState(snap.AddSection(kQueryTemporalSection)));
+    VQE_RETURN_NOT_OK(gate->SaveState(snap.AddSection(kTemporalSection)));
   }
   return snap.Finish();
 }
@@ -244,7 +234,7 @@ Result<std::vector<uint8_t>> BuildQuerySnapshot(
 Status RestoreQueryRun(const SnapshotReader& snap,
                        const QueryRunIdentity& expected, uint32_t num_masks,
                        SelectionStrategy* strategy,
-                       std::vector<ResilientDetector>* runtime,
+                       std::vector<CircuitBreaker>* breakers,
                        IouTracker* tracker, TemporalGate* gate,
                        QueryOutput* out, size_t* next_t,
                        size_t* next_iteration) {
@@ -259,7 +249,7 @@ Status RestoreQueryRun(const SnapshotReader& snap,
   VQE_RETURN_NOT_OK(cursor.U64(&t));
   VQE_RETURN_NOT_OK(cursor.U64(&iteration));
   VQE_RETURN_NOT_OK(cursor.ExpectEnd());
-  if (t >= expected.num_video_frames) {
+  if (t >= expected.engine.num_frames) {
     return Status::DataLoss("query checkpoint cursor beyond end of video");
   }
 
@@ -269,24 +259,17 @@ Status RestoreQueryRun(const SnapshotReader& snap,
   VQE_RETURN_NOT_OK(res.ExpectEnd());
   if (restored.selection_counts.size() != num_masks + 1 ||
       restored.model_failures.size() !=
-          static_cast<size_t>(expected.num_models)) {
+          static_cast<size_t>(expected.engine.num_models)) {
     return Status::DataLoss("query checkpoint output shape mismatch");
   }
 
-  VQE_ASSIGN_OR_RETURN(ByteReader strat, snap.Section(kQueryStrategySection));
+  VQE_ASSIGN_OR_RETURN(ByteReader strat, snap.Section(kStrategySection));
   VQE_RETURN_NOT_OK(strategy->RestoreState(strat));
   VQE_RETURN_NOT_OK(strat.ExpectEnd());
 
-  VQE_ASSIGN_OR_RETURN(ByteReader rt, snap.Section(kQueryRuntimeSection));
-  uint64_t runtime_count = 0;
-  VQE_RETURN_NOT_OK(rt.U64(&runtime_count));
-  if (runtime_count != runtime->size()) {
-    return Status::DataLoss("query checkpoint runtime count mismatch");
-  }
-  for (ResilientDetector& d : *runtime) {
-    VQE_RETURN_NOT_OK(d.RestoreState(rt));
-  }
-  VQE_RETURN_NOT_OK(rt.ExpectEnd());
+  VQE_ASSIGN_OR_RETURN(ByteReader brk, snap.Section(kBreakersSection));
+  VQE_RETURN_NOT_OK(ReadBreakers(brk, breakers));
+  VQE_RETURN_NOT_OK(brk.ExpectEnd());
 
   if (tracker != nullptr) {
     if (!snap.HasSection(kQueryTrackerSection)) {
@@ -299,11 +282,11 @@ Status RestoreQueryRun(const SnapshotReader& snap,
   }
 
   if (gate != nullptr) {
-    if (!snap.HasSection(kQueryTemporalSection)) {
+    if (!snap.HasSection(kTemporalSection)) {
       return Status::DataLoss(
           "query checkpoint is missing the temporal section");
     }
-    VQE_ASSIGN_OR_RETURN(ByteReader tmp, snap.Section(kQueryTemporalSection));
+    VQE_ASSIGN_OR_RETURN(ByteReader tmp, snap.Section(kTemporalSection));
     VQE_RETURN_NOT_OK(gate->RestoreState(tmp));
     VQE_RETURN_NOT_OK(tmp.ExpectEnd());
   }
@@ -317,13 +300,14 @@ Status RestoreQueryRun(const SnapshotReader& snap,
   return Status::OK();
 }
 
-Result<std::unique_ptr<SelectionStrategy>> MakeStrategy(
+/// The USING clause's strategy from the core registry, after the checks
+/// only a query clause needs.
+Result<std::unique_ptr<SelectionStrategy>> MakeQueryStrategy(
     const Query& query, const QueryEngineOptions& options) {
   const UsingClause& clause = query.using_clause;
-  const double budget_ms = query.budget_ms;
   const std::string name = ToUpper(clause.strategy);
-  const bool needs_ref =
-      name == "MES" || name == "MES-B" || name == "MES-A" || name == "SW-MES";
+  const bool needs_ref = name == "MES" || name == "MES-B" || name == "MES-A" ||
+                         name == "SW-MES" || name == "D-MES";
   if (needs_ref && !clause.has_reference) {
     return Status::InvalidArgument(
         clause.strategy + " requires a reference model: USING " +
@@ -337,53 +321,18 @@ Result<std::unique_ptr<SelectionStrategy>> MakeStrategy(
         " has no sliding window (at offset " +
         std::to_string(query.window_pos) + ")");
   }
-  if (name == "MES") {
-    MesOptions mes;
-    mes.gamma = options.gamma;
-    return std::unique_ptr<SelectionStrategy>(
-        std::make_unique<MesStrategy>(mes));
-  }
-  if (name == "MES-B") {
-    if (budget_ms <= 0.0) {
-      return Status::InvalidArgument("MES-B requires a BUDGET clause");
-    }
-    MesBOptions mes_b;
-    mes_b.gamma = options.gamma;
-    return std::unique_ptr<SelectionStrategy>(
-        std::make_unique<MesBStrategy>(mes_b));
-  }
-  if (name == "MES-A") {
-    MesOptions mes;
-    mes.gamma = options.gamma;
-    mes.subset_updates = false;
-    return std::unique_ptr<SelectionStrategy>(
-        std::make_unique<MesStrategy>(mes));
-  }
-  if (name == "SW-MES") {
-    SwMesOptions sw;
-    sw.gamma = options.gamma;
-    sw.window = query.window > 0 ? query.window : options.sw_window;
-    sw.exploration_scale = 0.05;
-    return std::unique_ptr<SelectionStrategy>(
-        std::make_unique<SwMesStrategy>(sw));
-  }
-  if (name == "BF") {
-    return std::unique_ptr<SelectionStrategy>(
-        std::make_unique<BruteForceStrategy>());
-  }
-  if (name == "RAND") {
-    return std::unique_ptr<SelectionStrategy>(
-        std::make_unique<RandomStrategy>());
-  }
-  if (name == "EF") {
-    return std::unique_ptr<SelectionStrategy>(
-        std::make_unique<ExploreFirstStrategy>());
-  }
   if (name == "OPT" || name == "SGL") {
     return Status::InvalidArgument(
         name + " is an offline oracle baseline and cannot run in a query");
   }
-  return Status::NotFound("unknown strategy: " + clause.strategy);
+  if (name == "MES-B" && query.budget_ms <= 0.0) {
+    return Status::InvalidArgument("MES-B requires a BUDGET clause");
+  }
+  StrategyParams params;
+  params.gamma = options.gamma;
+  params.window = query.window > 0 ? query.window : options.sw_window;
+  params.sw_exploration_scale = 0.05;
+  return MakeStrategy(name, params);
 }
 
 /// Metric ids of the query executor (all kInvalidId when obs is off, so
@@ -498,7 +447,7 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
   const int m = static_cast<int>(pool.size());
   const uint32_t num_masks = NumEnsembles(m);
 
-  VQE_ASSIGN_OR_RETURN(auto strategy, MakeStrategy(query, options));
+  VQE_ASSIGN_OR_RETURN(auto strategy, MakeQueryStrategy(query, options));
   VQE_ASSIGN_OR_RETURN(auto fusion,
                        CreateEnsembleMethod(options.matrix.fusion,
                                             options.matrix.fusion_options));
@@ -516,15 +465,12 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
   out.model_failures.assign(static_cast<size_t>(m), 0);
   for (const auto& d : pool.detectors) out.model_names.push_back(d->name());
 
-  // The fault-tolerance stack: one ResilientDetector (retry + breaker) per
-  // pool model. With the default policy and no fault scripts every call
-  // succeeds on the first attempt, the breakers never leave closed, and the
-  // execution is bit-identical to the pre-runtime path.
-  std::vector<ResilientDetector> runtime;
-  runtime.reserve(pool.detectors.size());
-  for (const auto& d : pool.detectors) {
-    runtime.emplace_back(d.get(), options.retry, options.breaker);
-  }
+  // One circuit breaker per pool model on the detect-frame clock; every
+  // call runs under the retry policy (the fault path of FrameEvalContext
+  // and EngineRun). With the default policy and no fault scripts every
+  // call succeeds on the first attempt and the breakers never leave closed.
+  std::vector<CircuitBreaker> breakers(static_cast<size_t>(m),
+                                       CircuitBreaker(options.breaker));
 
   // Temporal predicates (TRACKS) need an online tracker over the fused
   // detections of the selected ensembles.
@@ -542,35 +488,34 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       (needs_tracks && gate == nullptr) ? &tracker : nullptr;
 
   std::vector<double> est_score(num_masks + 1);
+  // The realized mask's fused output; reused across frames, so copying it
+  // out of the per-frame FrameEvalContext stops allocating once warm.
+  DetectionList selected_fused;
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::vector<DetectionList> model_out(static_cast<size_t>(m));
-  // Steady-state scratch for the per-frame subset-fusion loop: the input
-  // span, the fused-output buffer FuseInto refills, and (when the fusion
-  // method consumes it) the SoA store behind the pairwise-IoU tile. All
-  // reused across frames so the serving loop stops allocating once these
-  // have warmed up.
-  std::vector<const DetectionList*> inputs;
-  inputs.reserve(static_cast<size_t>(m));
-  DetectionList fused;
 
   // Checkpointing: fingerprint the query configuration, then try to resume
   // from the newest good generation in the checkpoint directory.
   QueryRunIdentity identity;
-  identity.strategy_name = ToUpper(query.using_clause.strategy);
+  identity.engine.strategy_name = ToUpper(query.using_clause.strategy);
+  identity.engine.num_models = m;
+  identity.engine.num_frames = video.size();
+  identity.engine.strategy_seed = options.seed;
+  identity.engine.budget_ms = query.budget_ms;
+  identity.engine.sc = options.sc;
+  identity.engine.compute_regret = false;
+  identity.engine.breaker = options.breaker;
+  identity.engine.skip = options.skip;
   identity.video_name = query.video_name;
-  identity.num_models = m;
-  identity.num_video_frames = video.size();
+  identity.where = PredicateToString(query.where.get());
+  identity.model_names = out.model_names;
   identity.stride = stride;
-  identity.seed = sample.seed;
+  identity.sample_seed = sample.seed;
   identity.scene_scale = sample.scene_scale;
-  identity.budget_ms = query.budget_ms;
   identity.limit = query.limit;
-  identity.sc = options.sc;
   identity.gamma = options.gamma;
-  // The fingerprint records the *effective* λ, so a checkpoint taken with
-  // a WINDOW clause cannot resume under a different window.
   identity.sw_window = query.window > 0 ? query.window : options.sw_window;
-  identity.skip = options.skip;
+  identity.retry = options.matrix.retry;
+  identity.fusion = options.matrix.fusion;
 
   size_t start_t = 0;
   size_t iteration = 0;
@@ -584,7 +529,7 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       if (loaded.ok()) {
         out.checkpoint.generations_rejected = loaded->rejected;
         VQE_RETURN_NOT_OK(RestoreQueryRun(
-            loaded->snapshot, identity, num_masks, strategy.get(), &runtime,
+            loaded->snapshot, identity, num_masks, strategy.get(), &breakers,
             standalone_tracker, gate.get(), &out, &start_t, &iteration));
         out.checkpoint.resumed = true;
         out.checkpoint.resumed_from_iteration = iteration;
@@ -622,7 +567,7 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       VQE_ASSIGN_OR_RETURN(
           std::vector<uint8_t> bytes,
           BuildQuerySnapshot(identity, t + stride, iteration, out, *strategy,
-                             runtime, standalone_tracker, gate.get()));
+                             breakers, standalone_tracker, gate.get()));
       VQE_RETURN_NOT_OK(ckpt->Write(next_generation, bytes));
       ++next_generation;
       ++out.checkpoint.snapshots_written;
@@ -679,8 +624,7 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
     // something, and half-open probes are how breakers recover.
     EnsembleId healthy = 0;
     for (int i = 0; i < m; ++i) {
-      if (runtime[static_cast<size_t>(i)].StateAt(frame_t) !=
-          BreakerState::kOpen) {
+      if (breakers[static_cast<size_t>(i)].AllowsCallAt(frame_t)) {
         healthy |= Singleton(i);
       }
     }
@@ -702,29 +646,32 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
           pool.detectors[static_cast<size_t>(i)]->InferenceCostMs(
               frame, options.seed);
     }
+    std::vector<DetectionList> model_out(static_cast<size_t>(m));
     std::vector<double> model_cost(static_cast<size_t>(m), 0.0);
     EnsembleId realized = 0;
     for (int i = 0; i < m; ++i) {
-      if (!ContainsModel(selected, i)) {
-        model_out[static_cast<size_t>(i)].clear();
-        continue;
+      if (!ContainsModel(selected, i)) continue;
+      const size_t idx = static_cast<size_t>(i);
+      // An open breaker refuses the call at zero cost; otherwise the call
+      // runs under the retry policy and its outcome feeds the breaker.
+      CircuitBreaker& breaker = breakers[idx];
+      if (breaker.AllowsCallAt(frame_t)) {
+        DetectorCallOutcome call = DetectWithRetries(
+            *pool.detectors[idx], frame, options.seed, options.matrix.retry);
+        out.fault_ms += call.fault_ms;
+        obs.CountMs(qobs.fault_ms, call.fault_ms);
+        frame_cost += call.charged_ms();
+        if (call.ok()) {
+          breaker.RecordSuccess(frame_t);
+          model_out[idx] = std::move(call.detections);
+          model_cost[idx] = call.inference_ms;
+          realized |= Singleton(i);
+          continue;
+        }
+        breaker.RecordFailure(frame_t);
       }
-      // The fault-tolerant call path: retries + deadline under the policy,
-      // short-circuited at zero cost while the model's breaker is open.
-      DetectorCallOutcome call =
-          runtime[static_cast<size_t>(i)].Call(frame, options.seed, frame_t);
-      out.fault_ms += call.fault_ms;
-      obs.CountMs(qobs.fault_ms, call.fault_ms);
-      frame_cost += call.charged_ms();
-      if (call.ok()) {
-        model_out[static_cast<size_t>(i)] = std::move(call.detections);
-        model_cost[static_cast<size_t>(i)] = call.inference_ms;
-        realized |= Singleton(i);
-      } else {
-        model_out[static_cast<size_t>(i)].clear();
-        ++out.model_failures[static_cast<size_t>(i)];
-        obs.Count(qobs.model_failures);
-      }
+      ++out.model_failures[idx];
+      obs.Count(qobs.model_failures);
     }
 
     if (realized == 0) {
@@ -752,8 +699,9 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       }
 
       // Reference model (AP estimation) when the strategy learns from it.
+      const bool uses_ref = strategy->UsesReferenceModel();
       GroundTruthList ref_gt;
-      if (strategy->UsesReferenceModel()) {
+      if (uses_ref) {
         const DetectionList ref_out =
             pool.reference->Detect(frame, options.seed);
         const double ref_ms =
@@ -764,48 +712,26 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
             ref_out, options.matrix.ref_confidence_threshold);
       }
 
-      // Fuse every subset of the *realized* ensemble (outputs are reused;
-      // only the cheap box fusion re-runs) and estimate its reward — failed
-      // members contribute nothing, so the realized sub-masks are the only
-      // arms with honest observations. The subsets all fuse the same cached
-      // boxes, so share one pairwise-IoU tile across them (model_out is
-      // reused between frames: re-id every frame).
+      // Fuse and score every subset of the *realized* ensemble through the
+      // shared kernel (outputs are reused; only the cheap box fusion
+      // re-runs) — failed members contribute nothing, so the realized
+      // sub-masks are the only arms with honest observations. Queries have
+      // no ground truth, so the kernel builds no ground-truth index. Each
+      // subset's fusion overhead is charged to the frame, and its cost is
+      // normalized by Σ_i c_i plus that overhead.
+      FrameEvalContext frame_eval(std::move(model_out), std::move(model_cost),
+                                  realized, uses_ref ? &ref_gt : nullptr,
+                                  /*gt=*/nullptr, options.matrix, *fusion);
       est_score.assign(num_masks + 1, nan);
-      DetectionList selected_fused;
-      GroundTruthIndex ref_index;
-      if (strategy->UsesReferenceModel()) {
-        ref_index = BuildGroundTruthIndex(ref_gt);
-      }
-      const int num_ids = AssignFrameDetIds(model_out);
-      const FrameSoA frame_soa(model_out, num_ids);
-      PairwiseIouCache iou_tile;
-      if (fusion->ConsumesIouCache()) {
-        iou_tile = PairwiseIouCache(frame_soa);
-      }
       ForEachSubset(realized, [&](EnsembleId sub) {
-        inputs.clear();
-        size_t boxes = 0;
-        double cost = 0.0;
-        for (int i = 0; i < m; ++i) {
-          if (!ContainsModel(sub, i)) continue;
-          const DetectionList& out_i = model_out[static_cast<size_t>(i)];
-          inputs.push_back(&out_i);
-          boxes += out_i.size();
-          cost += model_cost[static_cast<size_t>(i)];
-        }
-        fusion->FuseInto(DetectionListSpan(inputs), &iou_tile, &frame_soa,
-                         &fused);
-        const double overhead = SimulatedFusionOverheadMs(boxes);
-        frame_cost += overhead;
-        cost += overhead;
-        if (strategy->UsesReferenceModel()) {
-          const double est_ap =
-              FrameMeanAp(fused, ref_index, options.matrix.ap);
-          const double full_bound = full_cost_bound + overhead;
+        const MaskEvaluation e = frame_eval.Evaluate(
+            sub, sub == realized ? &selected_fused : nullptr);
+        frame_cost += e.fusion_overhead_ms;
+        if (uses_ref) {
+          const double full_bound = full_cost_bound + e.fusion_overhead_ms;
           est_score[sub] = options.sc.Score(
-              est_ap, full_bound > 0 ? cost / full_bound : 0.0);
+              e.est_ap, full_bound > 0 ? e.cost_ms / full_bound : 0.0);
         }
-        if (sub == realized) selected_fused = fused;
       });
       out.charged_cost_ms += frame_cost;
 

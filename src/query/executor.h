@@ -7,6 +7,13 @@
 // Unlike the experiment engine (core/engine.h), which replays precomputed
 // evaluation matrices for measurement, this executor is genuinely online:
 // nothing about a frame is computed unless the selected ensemble needs it.
+// It keeps its own frame loop (cost normalization, per-subset fusion
+// charging and the detect-frame strategy clock differ from EngineRun; see
+// DESIGN.md) but nothing under it: strategies come from the core registry
+// (core/strategy_factory.h), every detector call runs through
+// DetectWithRetries and a per-model CircuitBreaker like the engine's, the
+// realized subset lattice is fused and scored by FrameEvalContext, and
+// checkpoints reuse the engine's identity core and breakers section.
 
 #ifndef VQE_QUERY_EXECUTOR_H_
 #define VQE_QUERY_EXECUTOR_H_
@@ -23,7 +30,6 @@
 #include "query/ast.h"
 #include "runtime/circuit_breaker.h"
 #include "runtime/fault_injection.h"
-#include "runtime/retry.h"
 #include "snapshot/checkpoint.h"
 #include "temporal/skip_policy.h"
 
@@ -39,10 +45,11 @@ struct QueryEngineOptions {
   size_t gamma = 10;
   /// λ for SW-MES.
   size_t sw_window = 450;
-  MatrixOptions matrix;  // fusion method + AP options + REF threshold
-  /// Per-call fault-tolerance policy for every pool detector (defaults:
-  /// single attempt, no deadline — bit-identical to the pre-runtime path).
-  RetryPolicy retry;
+  /// Fusion method, AP options, REF threshold, and the per-call retry
+  /// policy every pool detector runs under (matrix.retry; the default of
+  /// a single attempt and no deadline is bit-identical to the pre-runtime
+  /// path).
+  MatrixOptions matrix;
   /// Per-model circuit breakers on the frame clock; an open model is masked
   /// out of the strategy's candidate ensembles until it recovers.
   CircuitBreakerOptions breaker;
@@ -51,7 +58,7 @@ struct QueryEngineOptions {
   /// is). Used to rehearse outages end-to-end through a live query.
   std::vector<FaultScript> fault_scripts;
   /// Crash-safe checkpointing of the whole query run (strategy state,
-  /// per-model runtime stacks, tracker, output accumulators, cursor).
+  /// per-model breakers, tracker, output accumulators, cursor).
   /// Resumed queries produce bit-identical output (wall_seconds aside).
   CheckpointPolicy checkpoint;
   /// Temporal-coherence fast path: skipped frames are answered from

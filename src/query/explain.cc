@@ -1,5 +1,7 @@
 #include "query/explain.h"
 
+#include <charconv>
+
 #include "common/strings.h"
 
 namespace vqe {
@@ -45,7 +47,11 @@ std::string NumberToString(double v) {
   if (v == static_cast<double>(static_cast<long long>(v))) {
     return std::to_string(static_cast<long long>(v));
   }
-  return StrFormat("%g", v);
+  // The shortest text that parses back to exactly `v`: the query
+  // checkpoint fingerprint compares WHERE clauses through this text.
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, r.ptr);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // Deadline + bounded-retry policy for one detector call.
 //
-// DetectWithRetries is the single choke point through which the evaluation
-// stack (frame_eval, the lazy evaluator, the online query executor) invokes
-// a detector. It enforces a per-call deadline, retries transient failures
-// with exponential backoff, and splits the charged time into productive
-// inference and wasted fault time so TimeBreakdown can report them
-// separately. All of it runs on the simulated clock — latencies come from
-// the detector, backoff is charged arithmetically — so outcomes are a pure
-// function of (detector, frame, trial_seed, policy) and stay bit-identical
-// across worker counts.
+// DetectWithRetries is the single choke point through which every caller
+// invokes a detector: FrameEvalContext (and so the eager matrix build and
+// the lazy evaluator) and the online query executor. The per-model circuit
+// breakers sit beside it, in the engine loop and the query executor, which
+// consult a model's breaker before the call and record its outcome after;
+// there is no second retry/breaker stack. It enforces a per-call deadline,
+// retries transient failures with exponential backoff, and splits the
+// charged time into productive inference and wasted fault time so
+// TimeBreakdown can report them separately. All of it runs on the
+// simulated clock — latencies come from the detector, backoff is charged
+// arithmetically — so outcomes are a pure function of (detector, frame,
+// trial_seed, policy) and stay bit-identical across worker counts.
 
 #ifndef VQE_RUNTIME_RETRY_H_
 #define VQE_RUNTIME_RETRY_H_

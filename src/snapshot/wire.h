@@ -24,6 +24,13 @@
 
 namespace vqe {
 
+/// Exact bit equality for doubles. Configuration fingerprints compare
+/// with it: a snapshot must match the saved run exactly, and a tolerance
+/// would admit drifting results.
+inline bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
 /// Append-only encoder. Never fails; the buffer grows as needed.
 class ByteWriter {
  public:

@@ -1,6 +1,5 @@
 #include "temporal/skip_policy.h"
 
-#include <bit>
 #include <cmath>
 #include <string>
 
@@ -86,10 +85,6 @@ Status ReadSkipOptionsIdentity(ByteReader& r, SkipOptions* o) {
 }
 
 namespace {
-
-bool SameBits(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
 
 Status Mismatch(const char* field) {
   return Status::FailedPrecondition(

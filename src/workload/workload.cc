@@ -5,11 +5,9 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "core/baselines.h"
-#include "core/ducb.h"
 #include "core/experiment.h"
 #include "core/lazy_frame_evaluator.h"
-#include "core/mes.h"
+#include "core/strategy_factory.h"
 #include "sim/dataset.h"
 
 namespace vqe {
@@ -24,26 +22,22 @@ double ParetoBurst(Rng& rng, double alpha, double cap) {
 
 double Lerp(double a, double b, double t) { return a + (b - a) * t; }
 
-std::unique_ptr<SelectionStrategy> StrategyForClass(PriorityClass priority) {
+/// The strategy each priority class runs, from the core registry: γ = 2,
+/// and λ = 64 for SW-MES.
+Result<std::unique_ptr<SelectionStrategy>> StrategyForClass(
+    PriorityClass priority) {
+  StrategyParams params;
+  params.gamma = 2;
+  params.window = 64;
   switch (priority) {
-    case PriorityClass::kInteractive: {
-      MesOptions o;
-      o.gamma = 2;
-      return std::make_unique<MesStrategy>(o);
-    }
-    case PriorityClass::kStandard: {
-      SwMesOptions o;
-      o.gamma = 2;
-      o.window = 64;
-      return std::make_unique<SwMesStrategy>(o);
-    }
-    case PriorityClass::kBatch: {
-      DucbOptions o;
-      o.gamma = 2;
-      return std::make_unique<DucbMesStrategy>(o);
-    }
+    case PriorityClass::kInteractive:
+      return MakeStrategy("MES", params);
+    case PriorityClass::kStandard:
+      return MakeStrategy("SW-MES", params);
+    case PriorityClass::kBatch:
+      return MakeStrategy("D-MES", params);
   }
-  return std::make_unique<MesStrategy>(MesOptions{});
+  return MakeStrategy("MES");
 }
 
 EngineOptions EngineForSession(const SessionPlan& session) {
@@ -253,9 +247,9 @@ Result<std::unique_ptr<StreamSession>> BuildWorkloadSession(
   for (const auto& det : pool->detectors) {
     cfg.model_names.push_back(det->name());
   }
+  VQE_ASSIGN_OR_RETURN(auto strategy, StrategyForClass(session.priority));
   return StreamSession::Create(std::move(cfg), std::move(source),
-                               StrategyForClass(session.priority),
-                               std::move(owned));
+                               std::move(strategy), std::move(owned));
 }
 
 Result<RunResult> RunWorkloadSessionSolo(const WorkloadPlan& plan,
@@ -277,7 +271,7 @@ Result<RunResult> RunWorkloadSessionSolo(const WorkloadPlan& plan,
   VQE_ASSIGN_OR_RETURN(
       auto source, LazyFrameEvaluator::Create(std::move(video), *pool,
                                               session.trial_seed, {}));
-  auto strategy = StrategyForClass(session.priority);
+  VQE_ASSIGN_OR_RETURN(auto strategy, StrategyForClass(session.priority));
   return RunStrategy(*source, strategy.get(), EngineForSession(session));
 }
 

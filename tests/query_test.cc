@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+#include <string>
+
 #include "query/executor.h"
 #include "query/explain.h"
 #include "query/lexer.h"
@@ -436,6 +440,24 @@ TEST(ExecutorTest, ErrorPaths) {
   EXPECT_FALSE(ExecuteQuery(kBasicQuery, bad).ok());
 }
 
+// USING resolves through the core strategy registry, so D-MES runs in a
+// query too; like every REF-learning strategy it needs the REF clause.
+TEST(ExecutorTest, DMesResolvesThroughTheRegistry) {
+  const auto out = ExecuteQuery(
+      "SELECT frameID FROM (PROCESS nusc-night PRODUCE frameID, Detections "
+      "USING D-MES(*; REF)) WHERE COUNT(car) >= 1",
+      SmallOptions());
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_GT(out->frames_processed, 0u);
+  EXPECT_GT(out->reference_cost_ms, 0.0);
+  EXPECT_EQ(ExecuteQuery("SELECT frameID FROM (PROCESS nusc-night PRODUCE "
+                         "frameID, Detections USING D-MES(*))",
+                         SmallOptions())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ExecutorTest, StrideSkipsFrames) {
   QueryEngineOptions opt = SmallOptions();
   const auto full = ExecuteQuery(
@@ -556,6 +578,209 @@ TEST(ExecutorTest, SelectiveVsBroadPredicates) {
       opt);
   ASSERT_TRUE(broad.ok() && narrow.ok());
   EXPECT_GT(broad->frames_matched, narrow->frames_matched);
+}
+
+
+// ----------------------------------------------------------------- golden --
+
+// Golden outputs pin the executor end to end. Each digest covers every
+// QueryOutput field except wall_seconds and the per-invocation checkpoint
+// report, doubles by bit pattern, so any drift in selection, fusion and
+// scoring, fault handling, skip gating or tracking changes it. The cases
+// cover the paths the benchmark's query mix leaves out: strategies that
+// run without REF (BF, RAND, EF), user-named pools, and faults that run
+// retries and trip breakers.
+
+class QueryDigest {
+ public:
+  explicit QueryDigest(const QueryOutput& out) {
+    Add(out.frame_ids.size());
+    for (const int64_t id : out.frame_ids) Add(static_cast<uint64_t>(id));
+    Add(out.frames_processed);
+    Add(out.frames_matched);
+    AddDouble(out.charged_cost_ms);
+    AddDouble(out.reference_cost_ms);
+    Add(out.selection_counts.size());
+    for (const uint64_t c : out.selection_counts) Add(c);
+    Add(out.model_names.size());
+    for (const std::string& name : out.model_names) {
+      Add(name.size());
+      for (const char c : name) Add(static_cast<uint8_t>(c));
+    }
+    Add(out.fallback_frames);
+    Add(out.failed_frames);
+    AddDouble(out.fault_ms);
+    Add(out.model_failures.size());
+    for (const uint64_t f : out.model_failures) Add(f);
+    Add(out.skipped_frames);
+    AddDouble(out.tracker_ms);
+  }
+
+  uint64_t value() const { return h_; }
+
+ private:
+  void Add(uint64_t v) {  // FNV-1a, one byte at a time
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xFF;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void AddDouble(double v) { Add(std::bit_cast<uint64_t>(v)); }
+
+  uint64_t h_ = 1469598103934665603ull;
+};
+
+QueryOutput ExpectGolden(const std::string& sql,
+                         const QueryEngineOptions& options, uint64_t digest) {
+  const Result<QueryOutput> out = ExecuteQuery(sql, options);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  if (!out.ok()) return {};
+  EXPECT_GT(out->frames_processed, 20u);
+  EXPECT_EQ(QueryDigest(*out).value(), digest)
+      << "actual digest 0x" << std::hex << QueryDigest(*out).value();
+  return *out;
+}
+
+std::string GoldenSql(const std::string& process, const std::string& rest) {
+  return "SELECT frameID FROM (PROCESS " + process +
+         " PRODUCE frameID, Detections USING " + rest;
+}
+
+TEST(GoldenQueryTest, Mes) {
+  ExpectGolden(GoldenSql("nusc SCALE 0.005 SEED 11",
+                         "MES(*; REF)) WHERE COUNT(car) >= 2"),
+               {}, 0x9de1dab30d4cdffaull);
+}
+
+TEST(GoldenQueryTest, MesAOnNamedPool) {
+  ExpectGolden(GoldenSql("nusc-night SCALE 0.05 SEED 12",
+                         "MES-A(yolov7-tiny@clear, yolov7-tiny@night, "
+                         "yolov7@clear; REF)) WHERE EXISTS(pedestrian)"),
+               {}, 0xf482d2c8f994bea8ull);
+}
+
+TEST(GoldenQueryTest, MesBWithBudget) {
+  const QueryOutput out = ExpectGolden(
+      GoldenSql("bdd SCALE 0.014 SEED 13",
+                "MES-B(*; REF)) WHERE COUNT(*) >= 1 BUDGET 30000"),
+      {}, 0x410fd780e9b684acull);
+  EXPECT_GT(out.charged_cost_ms, 30000.0) << "the budget must stop the run";
+}
+
+TEST(GoldenQueryTest, SwMesWithWindow) {
+  ExpectGolden(GoldenSql("'c&n' SCALE 0.012 SEED 14",
+                         "SW-MES(*; REF)) WHERE EXISTS(car) WINDOW 40"),
+               {}, 0x6e9da10cd1b2fe7aull);
+}
+
+TEST(GoldenQueryTest, BfOnNamedPool) {
+  const QueryOutput out = ExpectGolden(
+      GoldenSql("nusc-night SCALE 0.05 SEED 15",
+                "BF(yolov7-tiny@clear, yolov7@night)) WHERE COUNT(car) >= 1"),
+      {}, 0xc02d553f2e888e68ull);
+  EXPECT_EQ(out.reference_cost_ms, 0.0);
+}
+
+TEST(GoldenQueryTest, Rand) {
+  ExpectGolden(GoldenSql("nusc SCALE 0.005 SEED 16",
+                         "RAND(*)) WHERE MAX_CONF(car) >= 0.5"),
+               {}, 0x48e614d24dd17486ull);
+}
+
+TEST(GoldenQueryTest, Ef) {
+  ExpectGolden(GoldenSql("bdd SCALE 0.007 SEED 17",
+                         "EF(*)) WHERE COUNT(*) >= 2 LIMIT 50"),
+               {}, 0x976cd2b46f1ab82full);
+}
+
+TEST(GoldenQueryTest, Tracks) {
+  ExpectGolden(GoldenSql("nusc-night SCALE 0.05 SEED 18",
+                         "MES(*; REF)) WHERE TRACKS(car) >= 1"),
+               {}, 0xd7ff9a61b2510e09ull);
+}
+
+TEST(GoldenQueryTest, SkipGated) {
+  QueryEngineOptions options;
+  options.skip.mode = SkipMode::kDifficultyGated;
+  options.skip.skip_budget = 3;
+  const QueryOutput out = ExpectGolden(
+      GoldenSql("nusc-rainy SCALE 0.022 SEED 19",
+                "MES(*; REF)) WHERE COUNT(car) >= 1"),
+      options, 0x1639352a5b2890d3ull);
+  EXPECT_GT(out.skipped_frames, 0u);
+}
+
+TEST(GoldenQueryTest, FaultedWithRetriesAndBreakers) {
+  QueryEngineOptions options;
+  options.matrix.retry.max_attempts = 2;
+  options.matrix.retry.deadline_ms = 60.0;
+  options.breaker.failure_threshold = 2;
+  options.breaker.open_frames = 4;
+  options.fault_scripts.resize(3);
+  // A hard outage that retries cannot clear: model 0's breaker trips,
+  // its half-open probes re-trip it, and it closes after the burst.
+  options.fault_scripts[0].bursts.push_back({5, 40, FaultKind::kError, -1});
+  // Transient errors that a retry often clears (fault time on success).
+  options.fault_scripts[1].error_rate = 0.3;
+  // Latency spikes past the deadline, plus corrupted outputs.
+  options.fault_scripts[2].spike_rate = 0.2;
+  options.fault_scripts[2].garbage_rate = 0.1;
+  const QueryOutput out = ExpectGolden(
+      GoldenSql("nusc-night SCALE 0.05 SEED 20",
+                "MES(yolov7-tiny@clear, yolov7-tiny@night, yolov7@clear; "
+                "REF)) WHERE COUNT(*) >= 1"),
+      options, 0xabfb402d2b13ec12ull);
+  EXPECT_GT(out.fallback_frames, 0u);
+  EXPECT_GT(out.fault_ms, 0.0);
+  EXPECT_GT(out.model_failures[0], 0u);
+  EXPECT_GT(out.model_failures[1], 0u);
+}
+
+// An open breaker refuses a model's call at zero cost, and its half-open
+// probes decide recovery. One model with a scripted outage over frames
+// [0, 6), tripping after two failures and cooling down for four frames:
+//   frames 0, 1   fail and pay the error latency; the breaker opens at 1;
+//   frames 2-4    are refused without a call: failed, zero cost;
+//   frame 5       is the half-open probe, still in the outage: it fails,
+//                 pays, and re-opens the breaker;
+//   frames 6-8    are refused again (the cool-down restarts at 5);
+//   frame 9       is the probe after the outage: it succeeds and closes
+//                 the breaker, and every later frame runs normally.
+TEST(FaultedQueryTest, BreakerShortCircuitsWhileOpenAndRecovers) {
+  QueryEngineOptions options;
+  options.breaker.failure_threshold = 2;
+  options.breaker.open_frames = 4;
+  options.fault_scripts.resize(1);
+  options.fault_scripts[0].bursts.push_back({0, 6, FaultKind::kError, -1});
+  Observability obs;
+  options.obs = obs.handle();
+  const Result<QueryOutput> out = ExecuteQuery(
+      GoldenSql("nusc-night SCALE 0.01 SEED 21",
+                "BF(yolov7-tiny@clear)) WHERE COUNT(*) >= 0"),
+      options);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_GT(out->frames_processed, 12u);
+  EXPECT_EQ(out->failed_frames, 9u);
+  EXPECT_EQ(out->model_failures[0], 9u) << "three failed calls, six refusals";
+  EXPECT_EQ(out->fault_ms, 3 * options.fault_scripts[0].error_latency_ms);
+  EXPECT_EQ(out->frames_matched, out->frames_processed - 9);
+
+  std::map<int64_t, double> frame_ms;
+  for (const TraceEvent& e : obs.trace().Collect()) {
+    if (std::string(e.name) == "query_frame") frame_ms[e.frame] = e.dur_ms;
+  }
+  ASSERT_EQ(frame_ms.size(), out->frames_processed);
+  for (const int64_t f : {0, 1, 5}) {
+    EXPECT_EQ(frame_ms[f], options.fault_scripts[0].error_latency_ms)
+        << "frame " << f << " calls the model and pays the error latency";
+  }
+  for (const int64_t f : {2, 3, 4, 6, 7, 8}) {
+    EXPECT_EQ(frame_ms[f], 0.0) << "frame " << f << " must be refused";
+  }
+  for (int64_t f = 9; f < static_cast<int64_t>(frame_ms.size()); ++f) {
+    EXPECT_GT(frame_ms[f], options.fault_scripts[0].error_latency_ms)
+        << "frame " << f << " runs after the breaker closed";
+  }
 }
 
 }  // namespace

@@ -562,8 +562,8 @@ TEST(QueryResumeTest, FaultedQueryResumesBitIdentically) {
       "USING MES(yolov7-tiny@clear, yolov7-tiny@night; REF)) "
       "WHERE COUNT(*) >= 1";
   QueryEngineOptions opt = SmallQueryOptions();
-  opt.retry.max_attempts = 2;
-  opt.retry.backoff_base_ms = 0.25;
+  opt.matrix.retry.max_attempts = 2;
+  opt.matrix.retry.backoff_base_ms = 0.25;
   opt.breaker.failure_threshold = 2;
   opt.breaker.open_frames = 4;
   opt.fault_scripts.resize(2);
@@ -584,25 +584,48 @@ TEST(QueryResumeTest, FaultedQueryResumesBitIdentically) {
   EXPECT_TRUE(resumed.checkpoint.resumed);
 }
 
-// A query snapshot belongs to one exact query + options; resuming with a
-// different seed must be refused.
+// A query snapshot belongs to one exact query + options: resuming under
+// any knob that changes the output must be refused.
 TEST(QueryResumeTest, MismatchedQueryIdentityIsRejected) {
-  const std::string sql =
+  const std::string head =
       "SELECT frameID FROM (PROCESS nusc-night PRODUCE frameID, Detections "
-      "USING MES(yolov7-tiny@clear, yolov7-tiny@night; REF))";
+      "USING MES(yolov7-tiny@clear, ";
+  const std::string sql =
+      head + "yolov7-tiny@night; REF)) WHERE COUNT(car) >= 1";
   QueryEngineOptions ck = SmallQueryOptions();
   ck.checkpoint.every_frames = 4;
   ck.checkpoint.crash_after_frames = 6;
   ck.checkpoint.directory = ScratchDir("query-identity");
   ASSERT_EQ(ExecuteQuery(sql, ck).status().code(), StatusCode::kAborted);
+  ck.checkpoint.crash_after_frames = 0;
 
+  auto expect_rejected = [&](const char* what, const std::string& variant_sql,
+                             const QueryEngineOptions& variant) {
+    EXPECT_EQ(ExecuteQuery(variant_sql, variant).status().code(),
+              StatusCode::kFailedPrecondition)
+        << "resume under a different " << what << " must be refused";
+  };
   QueryEngineOptions other = ck;
   other.seed = 99;
-  other.checkpoint.crash_after_frames = 0;
-  EXPECT_EQ(ExecuteQuery(sql, other).status().code(),
-            StatusCode::kFailedPrecondition);
+  expect_rejected("seed", sql, other);
+  expect_rejected("WHERE clause",
+                  head + "yolov7-tiny@night; REF)) WHERE COUNT(car) >= 5", ck);
+  // A threshold that a six-digit rendering would print as "1".
+  expect_rejected(
+      "WHERE threshold",
+      head + "yolov7-tiny@night; REF)) WHERE COUNT(car) >= 1.0000001", ck);
+  expect_rejected("pool", head + "yolov7@night; REF)) WHERE COUNT(car) >= 1",
+                  ck);
+  other = ck;
+  other.breaker.failure_threshold = 7;
+  expect_rejected("breaker", sql, other);
+  other = ck;
+  other.matrix.retry.max_attempts = 2;
+  expect_rejected("retry policy", sql, other);
+  other = ck;
+  other.matrix.fusion = FusionKind::kNms;
+  expect_rejected("fusion method", sql, other);
 
-  ck.checkpoint.crash_after_frames = 0;
   const Result<QueryOutput> ok = ExecuteQuery(sql, ck);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_TRUE(ok->checkpoint.resumed);

@@ -20,7 +20,6 @@
 #include "models/model_zoo.h"
 #include "runtime/circuit_breaker.h"
 #include "runtime/fault_injection.h"
-#include "runtime/resilient_detector.h"
 #include "query/executor.h"
 #include "runtime/retry.h"
 #include "sim/dataset.h"
@@ -414,44 +413,6 @@ TEST(CircuitBreakerTest, HalfOpenFailureTripsOpenAgain) {
 }
 
 // ---------------------------------------------------------------------------
-// ResilientDetector
-
-TEST(ResilientDetectorTest, ShortCircuitsWhileOpenAndRecovers) {
-  FakeDetector inner;
-  FaultScript script;
-  script.bursts.push_back({0, 6, FaultKind::kError, -1});
-  const FaultInjectingDetector faulty(&inner, script);
-
-  CircuitBreakerOptions breaker;
-  breaker.failure_threshold = 2;
-  breaker.open_frames = 4;
-  ResilientDetector resilient(&faulty, RetryPolicy{}, breaker);
-
-  EXPECT_FALSE(resilient.Call(MakeFrame(0), 1, 0).ok());
-  EXPECT_FALSE(resilient.Call(MakeFrame(1), 1, 1).ok());  // trips open
-  const DetectorCallOutcome refused = resilient.Call(MakeFrame(2), 1, 2);
-  EXPECT_FALSE(refused.ok());
-  EXPECT_EQ(refused.attempts, 0) << "an open breaker refuses without calling";
-  EXPECT_EQ(refused.charged_ms(), 0.0);
-  EXPECT_EQ(resilient.stats().short_circuits, 1u);
-
-  // Cool-down elapses at t = 1 + 4 = 5; the probe still hits the burst and
-  // re-trips. The next probe at t = 9 lands after the burst and closes.
-  EXPECT_FALSE(resilient.Call(MakeFrame(5), 1, 5).ok());
-  EXPECT_EQ(resilient.StateAt(6), BreakerState::kOpen);
-  const DetectorCallOutcome recovered = resilient.Call(MakeFrame(9), 1, 9);
-  EXPECT_TRUE(recovered.ok());
-  EXPECT_EQ(resilient.StateAt(10), BreakerState::kClosed);
-  EXPECT_EQ(resilient.breaker().opens(), 2u);
-
-  const Result<DetectionList> detections =
-      resilient.TryDetect(MakeFrame(10), 1, 10);
-  ASSERT_TRUE(detections.ok());
-  EXPECT_FALSE(detections.value().empty());
-  EXPECT_EQ(resilient.stats().failures, 3u);
-}
-
-// ---------------------------------------------------------------------------
 // Engine-level degradation (the ISSUE 3 acceptance scenarios)
 
 // (a) A scripted mid-video outage never aborts the run: every frame
@@ -728,7 +689,7 @@ TEST(ExperimentFaultTest, OnlineQuerySurvivesScriptedOutage) {
 
   options.fault_scripts.assign(clean.model_names.size(), FaultScript{});
   options.fault_scripts[0].bursts.push_back({0, 8, FaultKind::kError, -1});
-  options.retry.max_attempts = 2;
+  options.matrix.retry.max_attempts = 2;
   options.breaker.failure_threshold = 2;
   options.breaker.open_frames = 4;
   const QueryOutput outage = std::move(ExecuteQuery(sql, options)).value();

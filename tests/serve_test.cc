@@ -1124,14 +1124,25 @@ TEST(BreakerRegistryTest, ConcurrentTripThenHalfOpenProbeCloses) {
     });
   }
   for (auto& th : shards) th.join();
-  // 400 consecutive failures: open, regardless of interleaving.
+  // 400 failures and no success: the breaker tripped and cannot have
+  // closed. Whether it is still open at tick 150 depends on the
+  // interleaving: a last re-open at tick <= 140 has cooled down to
+  // half-open by then.
+  {
+    const auto health = registry.Snapshot(150);
+    ASSERT_EQ(health.size(), 1u);
+    EXPECT_NE(health[0].state, BreakerState::kClosed);
+    EXPECT_GE(health[0].opens, 1u);
+    EXPECT_EQ(health[0].failures, 400u);
+  }
+  // One more failure at tick 150 leaves it open either way: a failed
+  // half-open probe re-opens it, and an open breaker stays open.
+  registry.Record("flaky", 150, /*successes=*/0, /*failures=*/1);
   EXPECT_FALSE(registry.AllowsCall("flaky", 150));
   {
     const auto health = registry.Snapshot(150);
     ASSERT_EQ(health.size(), 1u);
     EXPECT_EQ(health[0].state, BreakerState::kOpen);
-    EXPECT_GE(health[0].opens, 1u);
-    EXPECT_EQ(health[0].failures, 400u);
   }
   // Past the cooldown the breaker admits a probe; its success closes it.
   EXPECT_TRUE(registry.AllowsCall("flaky", 500));

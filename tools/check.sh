@@ -98,9 +98,9 @@ run_sanitizer() {
   cmake --build "$dir" -j --target \
     thread_pool_test determinism_test fusion_test lazy_eval_test \
     runtime_test snapshot_test resume_test serialization_test serve_test \
-    fleet_test temporal_test tracker_test workload_test obs_test
+    fleet_test temporal_test tracker_test workload_test obs_test query_test
   ctest --test-dir "$dir" --output-on-failure -j 4 \
-    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|FusionProperty|FaultInjection|RetryTest|CircuitBreaker|ResilientDetector|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|EngineIdentity|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serialization|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|Workload|Overload|SamplePercentile|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState"
+    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|FusionProperty|FaultInjection|RetryTest|CircuitBreaker|GoldenQuery|QueryTest|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|EngineIdentity|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serialization|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|Workload|Overload|SamplePercentile|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState"
 }
 
 run_tier1
