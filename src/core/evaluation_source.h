@@ -11,10 +11,14 @@
 //     ⟨est_ap, true_ap, cost, overhead⟩ cell on first access, memoized
 //     per (frame, mask). Online strategies (MES family, SGL, RAND, EF)
 //     only ever touch the subset lattices of their selections, so runs
-//     cost O(|V|·2^|S|) fusions instead of O(|V|·2^m).
+//     cost O(|V|·2^|S|) fusions instead of O(|V|·2^m). It keeps one frame
+//     live, so it is built for readers that walk frames in ascending
+//     order; reading another frame's uncached cell or stats re-runs that
+//     frame's detectors.
 //
 // Both run mask evaluations through the same FrameEvalContext kernel, so
-// every value a strategy can observe is bit-identical across sources.
+// every value a strategy can observe is bit-identical across sources, in
+// any read order.
 
 #ifndef VQE_CORE_EVALUATION_SOURCE_H_
 #define VQE_CORE_EVALUATION_SOURCE_H_
@@ -35,7 +39,8 @@ namespace vqe {
 /// cost normalizer max_S c_{S|v}.
 struct FrameStats {
   SceneContext context = SceneContext::kClear;
-  /// Per-model inference cost c_{M_i|v}, ms (size m); owned by the source.
+  /// Per-model inference cost c_{M_i|v}, ms (size m); owned by the source
+  /// and valid until the next read of another frame.
   const std::vector<double>* model_cost_ms = nullptr;
   double ref_cost_ms = 0.0;
   /// max_S c_{S|v}: the normalizer of ĉ (§5.4).
@@ -44,7 +49,7 @@ struct FrameStats {
   /// fault_aware (the engine otherwise assumes every model answered).
   EnsembleId available_mask = 0;
   /// Per-model wasted time (failed attempts + backoff), or nullptr when the
-  /// source predates fault accounting.
+  /// source predates fault accounting. Same lifetime as model_cost_ms.
   const std::vector<double>* model_fault_ms = nullptr;
   /// True when this source ran the fault-aware detector pipeline.
   bool fault_aware = false;
@@ -53,7 +58,8 @@ struct FrameStats {
 /// A source of per-(frame, mask) evaluations. Accessors are non-const
 /// because lazy implementations materialize on read; values are pure
 /// functions of (frame, mask), so reads are idempotent and read order
-/// never changes what any caller observes.
+/// never changes what any caller observes (it may change what the reads
+/// cost: see LazyFrameEvaluator).
 class EvaluationSource {
  public:
   virtual ~EvaluationSource() = default;

@@ -167,45 +167,46 @@ Result<ExperimentResult> RunExperiment(
   auto run_trial = [&](size_t trial) {
     // Either backend yields bit-identical runs (shared FrameEvalContext
     // kernel); lazy skips the masks no strategy touches. One evaluator is
-    // shared across the trial's strategies — cells are pure functions of
-    // (frame, mask), so later strategies just hit the memo.
+    // shared across the trial's strategies, and they step in frame
+    // lockstep: the lazy evaluator keeps one live frame, so every strategy
+    // reads frame t while it is materialized, and a cell another strategy
+    // already evaluated is a memo hit.
     std::unique_ptr<LazyFrameEvaluator> evaluator;
     FrameMatrix matrix;
     EvaluationSource* source = nullptr;
+    Status& status = trial_status[trial];
     if (lazy) {
       auto eval_result =
           BuildTrialEvaluator(config, *run_pool, static_cast<uint64_t>(trial));
       if (!eval_result.ok()) {
-        trial_status[static_cast<size_t>(trial)] = eval_result.status();
+        status = eval_result.status();
         return;
       }
       evaluator = std::move(eval_result).value();
       source = evaluator.get();
-      frames_per_trial[static_cast<size_t>(trial)] =
-          static_cast<double>(evaluator->num_frames());
     } else {
       auto matrix_result =
           BuildTrialMatrix(config, *run_pool, static_cast<uint64_t>(trial));
       if (!matrix_result.ok()) {
-        trial_status[static_cast<size_t>(trial)] = matrix_result.status();
+        status = matrix_result.status();
         return;
       }
       matrix = std::move(matrix_result).value();
-      frames_per_trial[static_cast<size_t>(trial)] =
-          static_cast<double>(matrix.size());
     }
     MatrixEvaluationSource matrix_source(matrix);
     if (source == nullptr) source = &matrix_source;
+    frames_per_trial[trial] = static_cast<double>(source->num_frames());
 
     EngineOptions engine = config.engine;
     engine.strategy_seed =
         HashCombine(config.base_seed, 0xABCD0000ULL + trial);
 
+    std::vector<std::unique_ptr<SelectionStrategy>> owned(strategies.size());
+    std::vector<std::unique_ptr<EngineRun>> runs(strategies.size());
     for (size_t i = 0; i < strategies.size(); ++i) {
-      auto strategy = strategies[i].make();
-      if (strategy == nullptr) {
-        trial_status[static_cast<size_t>(trial)] =
-            Status::Internal("strategy factory returned null");
+      owned[i] = strategies[i].make();
+      if (owned[i] == nullptr) {
+        status = Status::Internal("strategy factory returned null");
         return;
       }
       // Each (trial, strategy) run checkpoints into its own directory so
@@ -216,13 +217,30 @@ Result<ExperimentResult> RunExperiment(
                                       "/trial-" + std::to_string(trial) + "/" +
                                       SanitizeLabel(strategies[i].label);
       }
-      auto run = RunStrategy(*source, strategy.get(), engine);
+      auto run = EngineRun::Create(*source, owned[i].get(), engine);
       if (!run.ok()) {
-        trial_status[static_cast<size_t>(trial)] = run.status();
+        status = run.status();
         return;
       }
-      result.outcomes[i].runs[static_cast<size_t>(trial)] =
-          std::move(run).value();
+      runs[i] = std::move(run).value();
+    }
+    // A run steps only when frame t is its next frame: runs resumed from
+    // different checkpoints wait for the lockstep to reach them, and runs
+    // whose TCVI budget is spent drop out.
+    for (size_t t = 0; t < source->num_frames(); ++t) {
+      for (auto& run : runs) {
+        if (run->done() || run->next_frame() != t) continue;
+        status = run->StepFrame();
+        if (!status.ok()) return;
+      }
+    }
+    for (size_t i = 0; i < strategies.size(); ++i) {
+      auto result_i = runs[i]->Finish();
+      if (!result_i.ok()) {
+        status = result_i.status();
+        return;
+      }
+      result.outcomes[i].runs[trial] = std::move(result_i).value();
     }
   };
 

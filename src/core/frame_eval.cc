@@ -12,10 +12,16 @@ FrameEvalContext::FrameEvalContext(const VideoFrame& frame,
                                    const MatrixOptions& options,
                                    const EnsembleMethod& fusion)
     : options_(&options), fusion_(&fusion) {
+  Load(frame, pool, trial_seed);
+}
+
+void FrameEvalContext::Load(const VideoFrame& frame, const DetectorPool& pool,
+                            uint64_t trial_seed) {
   const size_t m = pool.detectors.size();
   model_out_.resize(m);
   model_cost_ms_.resize(m);
   model_fault_ms_.assign(m, 0.0);
+  available_mask_ = 0;
   // Materialize per-model outputs once (the reuse of Alg. 1 lines 9-10),
   // each call routed through the deadline/retry choke point. The default
   // policy on a plain detector reduces to Detect + InferenceCostMs in the
@@ -25,18 +31,20 @@ FrameEvalContext::FrameEvalContext(const VideoFrame& frame,
   for (size_t i = 0; i < m; ++i) {
     DetectorCallOutcome call =
         DetectWithRetries(*pool.detectors[i], frame, trial_seed,
-                          options.retry);
+                          options_->retry);
     model_cost_ms_[i] = call.charged_ms();
     model_fault_ms_[i] = call.fault_ms;
     if (call.ok()) {
       model_out_[i] = std::move(call.detections);
       available_mask_ |= Singleton(static_cast<int>(i));
+    } else {
+      model_out_[i].clear();
     }
   }
   const DetectionList ref_out = pool.reference->Detect(frame, trial_seed);
   ref_cost_ms_ = pool.reference->InferenceCostMs(frame, trial_seed);
   const GroundTruthList ref_gt =
-      DetectionsAsGroundTruth(ref_out, options.ref_confidence_threshold);
+      DetectionsAsGroundTruth(ref_out, options_->ref_confidence_threshold);
   IndexFrame(&ref_gt, &frame.objects);
 }
 
@@ -70,7 +78,7 @@ void FrameEvalContext::IndexFrame(const GroundTruthList* ref_gt,
   // WBF queries derived cluster boxes, so the tile would be pure
   // construction overhead there.
   const int num_ids = AssignFrameDetIds(model_out_);
-  soa_ = FrameSoA(model_out_, num_ids);
+  soa_.Rebuild(model_out_, num_ids);
   if (fusion_->ConsumesIouCache()) {
     iou_cache_ = PairwiseIouCache(soa_);
   }

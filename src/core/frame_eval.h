@@ -1,14 +1,15 @@
 // Shared per-frame evaluation kernel: caches one frame's per-model
 // detector outputs and the per-class ground-truth indexes, and evaluates
 // any ensemble mask on demand. Both the eager BuildFrameMatrix (which
-// materializes all 2^m − 1 masks) and the LazyFrameEvaluator (which
-// materializes only what a strategy touches) run their mask evaluations
-// through this one code path, so lazy and eager results are bit-identical
-// *by construction*, not by parallel maintenance of two arithmetic
-// pipelines. The online query executor scores its realized subset lattice
-// (the Alg. 1 subset reuse) through the same kernel, over member outputs
-// it ran itself: it has no ground truth, and runs REF only when its
-// strategy learns from it, so those indexes are optional.
+// materializes all 2^m − 1 masks, one context per frame) and the
+// LazyFrameEvaluator (which materializes only what a strategy touches,
+// reloading one live context from frame to frame) run their mask
+// evaluations through this one code path, so lazy and eager results are
+// bit-identical *by construction*, not by parallel maintenance of two
+// arithmetic pipelines. The online query executor scores its realized
+// subset lattice (the Alg. 1 subset reuse) through the same kernel, over
+// member outputs it ran itself: it has no ground truth, and runs REF only
+// when its strategy learns from it, so those indexes are optional.
 
 #ifndef VQE_CORE_FRAME_EVAL_H_
 #define VQE_CORE_FRAME_EVAL_H_
@@ -59,7 +60,9 @@ struct MaskEvaluation {
 /// Not thread-safe: Evaluate reuses a scratch buffer. Parallel callers
 /// build one context per frame (frames are independent pure functions of
 /// (frame, trial_seed), which is what makes the parallel eager build
-/// bit-identical for any worker count).
+/// bit-identical for any worker count). A serial caller that walks frames
+/// one at a time keeps one context and Load()s each frame into it, reusing
+/// the per-model lists, the SoA lanes and the fused scratch.
 class FrameEvalContext {
  public:
   /// Runs all m detectors and the reference model on `frame`. `pool`,
@@ -67,6 +70,17 @@ class FrameEvalContext {
   FrameEvalContext(const VideoFrame& frame, const DetectorPool& pool,
                    uint64_t trial_seed, const MatrixOptions& options,
                    const EnsembleMethod& fusion);
+
+  /// Replaces the cached frame with `frame`, exactly as the running
+  /// constructor (which delegates here) would build it: every detector
+  /// and the reference model run again, and the REF, ground-truth and SoA
+  /// indexes are rebuilt in place, keeping their buffers' capacity. The
+  /// result is a pure function of (frame, pool, trial_seed), so reloading
+  /// a frame seen before reproduces its evaluations bit for bit.
+  /// References returned by model_cost_ms(), model_fault_ms() and soa()
+  /// now describe `frame`.
+  void Load(const VideoFrame& frame, const DetectorPool& pool,
+            uint64_t trial_seed);
 
   /// Caches member outputs the caller already ran: `model_out` and
   /// `model_cost_ms` are index-aligned with the pool (empty output and

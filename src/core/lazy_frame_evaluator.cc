@@ -37,21 +37,27 @@ LazyFrameEvaluator::LazyFrameEvaluator(Video video, const DetectorPool& pool,
 }
 
 LazyFrameEvaluator::FrameSlot& LazyFrameEvaluator::Touch(size_t t) {
-  FrameSlot& slot = slots_[t];
-  if (slot.ctx == nullptr) {
-    // A slot restored from a snapshot already has its memo (non-empty) but
-    // no detector context; re-creating the context is deterministic, and
-    // the frame was already counted as touched in the restored counters.
-    const bool first_touch = slot.memo.empty();
-    slot.ctx = std::make_unique<FrameEvalContext>(
-        video_.frames[t], *pool_, trial_seed_, options_, *fusion_);
-    slot.max_cost_ms = slot.ctx->FullEnsembleCostMs();
-    if (first_touch) {
-      const uint32_t num_masks = num_ensembles();
-      slot.memo.resize(num_masks + 1);
-      slot.known.assign(num_masks + 1, 0);
-      ++frames_touched_;
+  if (live_t_ != t) {
+    // Reloading is deterministic, so a frame read again after the live
+    // context moved on (an out-of-order read, or a slot restored from a
+    // snapshot) rebuilds exactly the context it had before.
+    if (live_ == nullptr) {
+      live_ = std::make_unique<FrameEvalContext>(
+          video_.frames[t], *pool_, trial_seed_, options_, *fusion_);
+    } else {
+      live_->Load(video_.frames[t], *pool_, trial_seed_);
     }
+    live_t_ = t;
+  }
+  FrameSlot& slot = slots_[t];
+  // A slot restored from a snapshot already has its memo and normalizer,
+  // and was counted as touched in the restored counters.
+  if (slot.memo.empty()) {
+    const uint32_t num_masks = num_ensembles();
+    slot.max_cost_ms = live_->FullEnsembleCostMs();
+    slot.memo.resize(num_masks + 1);
+    slot.known.assign(num_masks + 1, 0);
+    ++frames_touched_;
   }
   return slot;
 }
@@ -60,25 +66,25 @@ FrameStats LazyFrameEvaluator::Stats(size_t t) {
   FrameSlot& slot = Touch(t);
   FrameStats stats;
   stats.context = video_.frames[t].context;
-  stats.model_cost_ms = &slot.ctx->model_cost_ms();
-  stats.ref_cost_ms = slot.ctx->ref_cost_ms();
+  stats.model_cost_ms = &live_->model_cost_ms();
+  stats.ref_cost_ms = live_->ref_cost_ms();
   stats.max_cost_ms = slot.max_cost_ms;
-  stats.available_mask = slot.ctx->available_mask();
-  stats.model_fault_ms = &slot.ctx->model_fault_ms();
+  stats.available_mask = live_->available_mask();
+  stats.model_fault_ms = &live_->model_fault_ms();
   stats.fault_aware = true;
   return stats;
 }
 
 MaskEvaluation LazyFrameEvaluator::Eval(size_t t, EnsembleId mask) {
-  // Known cells are served straight from the memo — including cells
-  // restored from a snapshot, whose slot has no detector context yet.
+  // Known cells are served straight from the memo, whichever frame is
+  // live — including cells restored from a snapshot.
   FrameSlot& cached = slots_[t];
   if (!cached.memo.empty() && cached.known[mask]) {
     ++memo_hits_;
     return cached.memo[mask];
   }
   FrameSlot& slot = Touch(t);
-  slot.memo[mask] = slot.ctx->Evaluate(mask);
+  slot.memo[mask] = live_->Evaluate(mask);
   slot.known[mask] = 1;
   ++masks_materialized_;
   return slot.memo[mask];
@@ -93,12 +99,12 @@ Result<double> LazyFrameEvaluator::ScorePropagated(size_t t,
 
 const DetectionList* LazyFrameEvaluator::FusedOutput(size_t t,
                                                      EnsembleId mask) {
-  FrameSlot& slot = Touch(t);
+  Touch(t);
   // The scalar cell may already be memoized (the engine evaluates the
   // realized mask's subset lattice first); Evaluate is re-run regardless
   // because the memo keeps no boxes. One extra fusion per detect frame,
   // dwarfed by the m detector calls the frame already paid.
-  slot.ctx->Evaluate(mask, &fused_buf_);
+  live_->Evaluate(mask, &fused_buf_);
   return &fused_buf_;
 }
 
@@ -180,6 +186,9 @@ Status LazyFrameEvaluator::RestoreState(ByteReader& reader) {
       slot.known[mask] = 1;
     }
   }
+  // The live context (if any) stays: it is a pure function of its frame,
+  // so it is as valid against the restored memo as it was before, and a
+  // restored slot without a context is rebuilt on its next uncached read.
   slots_ = std::move(slots);
   frames_touched_ = static_cast<size_t>(frames_touched);
   masks_materialized_ = masks_materialized;

@@ -55,6 +55,11 @@ class FrameSoA {
   /// arrays themselves are self-contained copies.
   FrameSoA(const std::vector<DetectionList>& per_model, int num_ids);
 
+  /// Same contract as the building constructor, but refills this store in
+  /// place: every lane keeps its capacity, so a store rebuilt frame after
+  /// frame stops allocating once it has seen the largest frame.
+  void Rebuild(const std::vector<DetectionList>& per_model, int num_ids);
+
   int num_ids() const { return num_ids_; }
   bool empty() const { return num_ids_ == 0; }
 
@@ -130,6 +135,11 @@ class FrameSoA {
   std::vector<int32_t> packed_list_;
   std::vector<const Detection*> packed_src_;
   std::vector<int32_t> sorted_slot_;
+  // Build scratch (id-indexed winning writer's list index and address,
+  // packing sort keys), kept as members so Rebuild reuses their capacity.
+  std::vector<int32_t> src_list_;
+  std::vector<const Detection*> src_ptr_;
+  std::vector<uint64_t> sort_keys_;
   const std::vector<DetectionList>* source_ = nullptr;
 };
 

@@ -1,13 +1,18 @@
 // Lazy memoized evaluation: every cell a LazyFrameEvaluator materializes
 // must be bit-identical to the eagerly built FrameMatrix (both run the
-// shared FrameEvalContext kernel — these tests pin the contract), engine
-// runs must be indistinguishable across backends, and lazy MES runs must
-// actually skip most of the lattice.
+// shared FrameEvalContext kernel — these tests pin the contract) in any
+// read order, engine runs must be indistinguishable across backends, lazy
+// MES runs must actually skip most of the lattice, and an experiment must
+// materialize each frame once per pass, not once per strategy.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/baselines.h"
@@ -15,6 +20,7 @@
 #include "core/experiment.h"
 #include "core/lazy_frame_evaluator.h"
 #include "core/mes.h"
+#include "core/strategy_factory.h"
 #include "models/model_zoo.h"
 #include "sim/dataset.h"
 
@@ -41,6 +47,69 @@ Video MakeVideo(double scene_scale, uint64_t seed) {
   sample.scene_scale = scene_scale;
   sample.seed = seed;
   return std::move(SampleVideo(*spec, sample)).value();
+}
+
+/// Borrows a detector and counts its Detect calls into a shared counter.
+class CountingDetector final : public ObjectDetector {
+ public:
+  CountingDetector(const ObjectDetector* inner, std::atomic<uint64_t>* calls)
+      : inner_(inner), calls_(calls) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  DetectionList Detect(const VideoFrame& frame,
+                       uint64_t trial_seed) const override {
+    calls_->fetch_add(1, std::memory_order_relaxed);
+    return inner_->Detect(frame, trial_seed);
+  }
+  double InferenceCostMs(const VideoFrame& frame,
+                         uint64_t trial_seed) const override {
+    return inner_->InferenceCostMs(frame, trial_seed);
+  }
+  uint64_t param_count() const override { return inner_->param_count(); }
+  const std::string& structure_name() const override {
+    return inner_->structure_name();
+  }
+
+ private:
+  const ObjectDetector* inner_;
+  std::atomic<uint64_t>* calls_;
+};
+
+/// `pool` with every member wrapped in a CountingDetector; the reference
+/// model is cloned and not counted.
+DetectorPool CountingPool(const DetectorPool& pool,
+                          std::atomic<uint64_t>* calls) {
+  DetectorPool counted;
+  for (const auto& detector : pool.detectors) {
+    counted.detectors.push_back(
+        std::make_unique<CountingDetector>(detector.get(), calls));
+  }
+  counted.reference =
+      std::make_unique<ReferenceDetector>(pool.reference->profile());
+  return counted;
+}
+
+/// Asserts one lazy cell equals the eager matrix's, bit for bit.
+void ExpectCellMatches(const FrameMatrix& matrix, LazyFrameEvaluator& lazy,
+                       size_t t, EnsembleId mask) {
+  const FrameEvaluation& fe = matrix.frames[t];
+  const MaskEvaluation e = lazy.Eval(t, mask);
+  ASSERT_EQ(e.est_ap, fe.est_ap[mask]) << "t=" << t << " mask=" << mask;
+  ASSERT_EQ(e.true_ap, fe.true_ap[mask]) << "t=" << t << " mask=" << mask;
+  ASSERT_EQ(e.cost_ms, fe.cost_ms[mask]) << "t=" << t << " mask=" << mask;
+  ASSERT_EQ(e.fusion_overhead_ms, fe.fusion_overhead_ms[mask])
+      << "t=" << t << " mask=" << mask;
+}
+
+/// Asserts frame t's stats equal the eager matrix's, bit for bit.
+void ExpectStatsMatch(const FrameMatrix& matrix, LazyFrameEvaluator& lazy,
+                      size_t t) {
+  const FrameEvaluation& fe = matrix.frames[t];
+  const FrameStats stats = lazy.Stats(t);
+  ASSERT_EQ(*stats.model_cost_ms, fe.model_cost_ms) << "t=" << t;
+  ASSERT_EQ(stats.ref_cost_ms, fe.ref_cost_ms) << "t=" << t;
+  ASSERT_EQ(stats.max_cost_ms, fe.max_cost_ms) << "t=" << t;
+  ASSERT_EQ(stats.available_mask, fe.available_mask) << "t=" << t;
 }
 
 void ExpectSameRun(const RunResult& a, const RunResult& b) {
@@ -102,6 +171,99 @@ TEST(LazyEvalTest, EveryCellBitIdenticalToEagerMatrix) {
       EXPECT_EQ(lazy->frames_touched(), matrix.size());
       EXPECT_EQ(lazy->masks_materialized(),
                 static_cast<uint64_t>(matrix.size()) * num_masks);
+    }
+  }
+}
+
+// The evaluator keeps one live frame and rebuilds any other frame on
+// demand, so reads in reverse or shuffled frame order, and reads after a
+// memo snapshot round trip, must still return exactly the eager cells.
+TEST(LazyEvalTest, OutOfOrderReadsMatchEager) {
+  const int m = 3;
+  const DetectorPool pool = MakePool(m);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/23);
+  ASSERT_GT(video.size(), 8u);
+  MatrixOptions options;
+  options.fusion = FusionKind::kNms;  // rebuilds the IoU tile per load too
+  const auto matrix =
+      std::move(BuildFrameMatrix(video, pool, /*trial_seed=*/5, options))
+          .value();
+  const uint32_t num_masks = matrix.num_ensembles();
+  auto make_lazy = [&] {
+    return std::move(LazyFrameEvaluator::Create(video, pool,
+                                                /*trial_seed=*/5, options))
+        .value();
+  };
+
+  {
+    SCOPED_TRACE("reverse frame order");
+    auto lazy = make_lazy();
+    for (size_t t = matrix.size(); t-- > 0;) {
+      ExpectStatsMatch(matrix, *lazy, t);
+      for (EnsembleId mask = num_masks; mask >= 1; --mask) {
+        ExpectCellMatches(matrix, *lazy, t, mask);
+      }
+    }
+    EXPECT_EQ(lazy->frames_touched(), matrix.size());
+  }
+
+  // Every (frame, mask) cell once, interleaved with Stats reads, so nearly
+  // every read lands on a frame other than the live one.
+  std::vector<std::pair<size_t, EnsembleId>> cells;
+  for (size_t t = 0; t < matrix.size(); ++t) {
+    for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
+      cells.emplace_back(t, mask);
+    }
+  }
+  std::mt19937_64 rng(0x5EED);
+  std::shuffle(cells.begin(), cells.end(), rng);
+  {
+    SCOPED_TRACE("shuffled order");
+    auto lazy = make_lazy();
+    for (const auto& [t, mask] : cells) {
+      ExpectCellMatches(matrix, *lazy, t, mask);
+      ExpectStatsMatch(matrix, *lazy, (t * 7 + mask) % matrix.size());
+    }
+    EXPECT_EQ(lazy->masks_materialized(),
+              static_cast<uint64_t>(matrix.size()) * num_masks);
+  }
+
+  {
+    SCOPED_TRACE("save, restore, revisit");
+    // The saved evaluator knows the first half of the frames, partially.
+    auto saved = make_lazy();
+    const size_t half = matrix.size() / 2;
+    for (size_t t = 0; t < half; ++t) {
+      for (EnsembleId mask = 1; mask <= num_masks; mask += 2) {
+        ExpectCellMatches(matrix, *saved, t, mask);
+      }
+    }
+    ByteWriter w;
+    ASSERT_TRUE(saved->SaveState(w).ok());
+
+    // Restore into a fresh evaluator, into one whose live frame lies
+    // outside the snapshot, and back into the saved one, whose live frame
+    // is inside it; then revisit every cell and stat in shuffled order.
+    auto fresh = make_lazy();
+    auto elsewhere = make_lazy();
+    const size_t last = matrix.size() - 1;
+    ExpectCellMatches(matrix, *elsewhere, last, 1);
+    // Each target with the frame that was live when it was restored.
+    const std::pair<LazyFrameEvaluator*, size_t> targets[] = {
+        {fresh.get(), 0}, {elsewhere.get(), last}, {saved.get(), half - 1}};
+    for (const auto& [target, live] : targets) {
+      ByteReader r(w.bytes().data(), w.size());
+      ASSERT_TRUE(target->RestoreState(r).ok());
+      ASSERT_TRUE(r.ExpectEnd().ok());
+      EXPECT_EQ(target->frames_touched(), half);
+      // The still-live frame first: an unknown cell, then its stats.
+      ExpectCellMatches(matrix, *target, live, 2);
+      ExpectStatsMatch(matrix, *target, live);
+      for (const auto& [t, mask] : cells) {
+        ExpectCellMatches(matrix, *target, t, mask);
+        ExpectStatsMatch(matrix, *target, t);
+      }
+      EXPECT_EQ(target->frames_touched(), matrix.size());
     }
   }
 }
@@ -264,6 +426,52 @@ TEST(LazyEvalTest, ExperimentBackendsAgree) {
       EXPECT_FALSE(other->outcomes[i].regret_available);
     }
   }
+}
+
+// The experiment walks frames in lockstep across its strategies, so the
+// lazy backend runs each frame's m detectors once per trial, however many
+// strategies share it. SGL's calibration reads every frame's singletons
+// before the first step, which costs one more pass, never m more.
+TEST(LazyEvalTest, ExperimentRunsEachFrameDetectorsOncePerPass) {
+  const int m = 3;
+  const DetectorPool base = MakePool(m);
+  std::atomic<uint64_t> calls{0};
+  const DetectorPool pool = CountingPool(base, &calls);
+
+  ExperimentConfig config;
+  config.dataset = *DatasetCatalog::Default().Find("nusc-night");
+  config.scene_scale = 0.02;
+  config.trials = 2;
+  config.pool_size = m;
+  config.base_seed = 31;
+  config.parallelism = 1;
+  config.evaluation = EvaluationMode::kLazy;
+  config.engine.compute_regret = false;
+
+  uint64_t frames = 0;
+  for (int trial = 0; trial < config.trials; ++trial) {
+    frames += std::move(BuildTrialEvaluator(config, pool,
+                                            static_cast<uint64_t>(trial)))
+                  .value()
+                  ->num_frames();
+  }
+  ASSERT_GT(frames, 0u);
+  ASSERT_EQ(calls.load(), 0u) << "creating an evaluator runs no detector";
+  const uint64_t one_pass = static_cast<uint64_t>(m) * frames;
+
+  auto spec = [](const char* name) {
+    return StrategySpec{
+        name, [name] { return std::move(MakeStrategy(name)).value(); }};
+  };
+  std::vector<StrategySpec> online = {spec("MES"), spec("RAND"), spec("EF")};
+  ASSERT_TRUE(RunExperiment(config, pool, online).ok());
+  EXPECT_EQ(calls.load(), one_pass);
+
+  calls = 0;
+  online.push_back(spec("SGL"));
+  ASSERT_TRUE(RunExperiment(config, pool, online).ok());
+  EXPECT_GT(calls.load(), one_pass);
+  EXPECT_LE(calls.load(), 2 * one_pass);
 }
 
 // kAuto must stay eager when a full-lattice strategy (OPT) is in the

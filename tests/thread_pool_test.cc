@@ -24,7 +24,11 @@ TEST(ThreadPoolTest, SubmitRunsTask) {
   std::atomic<int> ran{0};
   std::mutex mu;
   std::condition_variable cv;
+  // Store and notify under `mu`: the waiter cannot observe ran == 1 and
+  // return (destroying `cv`) until the task has released the lock, so the
+  // notify never touches a dead condition variable.
   ASSERT_TRUE(SharedThreadPool().Submit([&] {
+    std::lock_guard<std::mutex> guard(mu);
     ran.store(1);
     cv.notify_one();
   }));
