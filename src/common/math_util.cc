@@ -30,6 +30,20 @@ double Max(const std::vector<double>& xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
+double SamplePercentile(std::vector<double> samples, double q) {
+  if (samples.empty()) return 0.0;
+  if (q <= 0.0) q = 0.0;
+  if (q > 1.0) q = 1.0;
+  // Nearest-rank: ceil(q * n), 1-based, clamped into the sample range.
+  size_t rank = static_cast<size_t>(
+      std::ceil(q * static_cast<double>(samples.size())));
+  if (rank == 0) rank = 1;
+  if (rank > samples.size()) rank = samples.size();
+  std::nth_element(samples.begin(), samples.begin() + (rank - 1),
+                   samples.end());
+  return samples[rank - 1];
+}
+
 SampleSummary Summarize(const std::vector<double>& xs) {
   SampleSummary s;
   s.count = xs.size();

@@ -1,5 +1,6 @@
 // Small numeric helpers shared across modules: summary statistics,
-// least-squares line fitting (used by LRBP), and clamping.
+// nearest-rank percentiles, least-squares line fitting (used by LRBP), and
+// clamping.
 
 #ifndef VQE_COMMON_MATH_UTIL_H_
 #define VQE_COMMON_MATH_UTIL_H_
@@ -45,6 +46,11 @@ struct SampleSummary {
 
 /// Computes all summary statistics in one pass over xs.
 SampleSummary Summarize(const std::vector<double>& xs);
+
+/// Nearest-rank percentile (q in [0, 1], clamped) of a sample set: the
+/// ceil(q·n)-th smallest sample, and the smallest one for q = 0. Takes the
+/// samples by value because selection reorders them. 0 on empty input.
+double SamplePercentile(std::vector<double> samples, double q);
 
 /// A fitted line y = slope * x + intercept.
 struct LinearFit {

@@ -156,8 +156,7 @@ Result<std::unique_ptr<EngineRun>> EngineRun::Create(
     if (!source.SupportsPropagation()) {
       return Status::InvalidArgument(
           "skip-enabled run needs a source with temporal propagation "
-          "support (LazyFrameEvaluator, or a matrix built with "
-          "keep_temporal_outputs)");
+          "support (LazyFrameEvaluator)");
     }
     VQE_ASSIGN_OR_RETURN(run->gate_, TemporalGate::Create(options.skip));
   }
@@ -296,10 +295,8 @@ Status EngineRun::StepFrame() {
 
   // Stats after Select so a lazy source only touches processed frames.
   const FrameStats stats = source_->Stats(t);
-  // The arm that actually ran: sources that predate fault accounting
-  // report no availability, which means everything answered.
-  const EnsembleId avail = stats.fault_aware ? stats.available_mask : full_;
-  const EnsembleId realized = selected & avail;
+  // The arm that actually ran: the selected members whose call succeeded.
+  const EnsembleId realized = selected & stats.available_mask;
 
   // Charged cost (Eq. 14; Eq. 12 during full-pool initialization):
   // every selected model once — failed calls included, their time was
@@ -311,15 +308,14 @@ Status EngineRun::StepFrame() {
     if (!ContainsModel(selected, i)) continue;
     const size_t idx = static_cast<size_t>(i);
     const double model_ms = (*stats.model_cost_ms)[idx];
-    const double fault_i =
-        stats.model_fault_ms != nullptr ? (*stats.model_fault_ms)[idx] : 0.0;
+    const double fault_i = (*stats.model_fault_ms)[idx];
     frame_cost += model_ms;
     result_.breakdown.detector_ms += model_ms - fault_i;
     result_.breakdown.fault_ms += fault_i;
     RunResult::ModelAvailability& health = result_.model_availability[idx];
     ++health.frames_selected;
     health.fault_ms += fault_i;
-    if (ContainsModel(avail, i)) {
+    if (ContainsModel(stats.available_mask, i)) {
       breakers_[idx].RecordSuccess(t);
     } else {
       ++health.frames_failed;

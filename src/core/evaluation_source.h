@@ -4,8 +4,10 @@
 //   * MatrixEvaluationSource — a view over an eagerly built FrameMatrix
 //     (all 2^m − 1 masks per frame). Still the right backend for
 //     strategies that read the whole lattice anyway (OPT's oracle scan,
-//     BF's full-pool selection), for regret measurement, for the Figure 3
-//     per-ensemble aggregates and for matrix serialization.
+//     BF's full-pool selection), for regret measurement and for the
+//     Figure 3 per-ensemble aggregates. The matrix holds only the
+//     lattice's scalars, so it refuses skip-enabled runs: the temporal
+//     gate needs fused boxes and ground truth.
 //
 //   * LazyFrameEvaluator (core/lazy_frame_evaluator.h) — materializes a
 //     ⟨est_ap, true_ap, cost, overhead⟩ cell on first access, memoized
@@ -14,7 +16,8 @@
 //     cost O(|V|·2^|S|) fusions instead of O(|V|·2^m). It keeps one frame
 //     live, so it is built for readers that walk frames in ascending
 //     order; reading another frame's uncached cell or stats re-runs that
-//     frame's detectors.
+//     frame's detectors. It owns the video, so it also serves the
+//     temporal skip gate.
 //
 // Both run mask evaluations through the same FrameEvalContext kernel, so
 // every value a strategy can observe is bit-identical across sources, in
@@ -23,7 +26,6 @@
 #ifndef VQE_CORE_EVALUATION_SOURCE_H_
 #define VQE_CORE_EVALUATION_SOURCE_H_
 
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -45,14 +47,11 @@ struct FrameStats {
   double ref_cost_ms = 0.0;
   /// max_S c_{S|v}: the normalizer of ĉ (§5.4).
   double max_cost_ms = 0.0;
-  /// Models whose call succeeded on this frame; meaningful only when
-  /// fault_aware (the engine otherwise assumes every model answered).
+  /// Models whose call succeeded on this frame.
   EnsembleId available_mask = 0;
-  /// Per-model wasted time (failed attempts + backoff), or nullptr when the
-  /// source predates fault accounting. Same lifetime as model_cost_ms.
+  /// Per-model wasted time (failed attempts + backoff), size m; part of
+  /// model_cost_ms. Same lifetime as model_cost_ms.
   const std::vector<double>* model_fault_ms = nullptr;
-  /// True when this source ran the fault-aware detector pipeline.
-  bool fault_aware = false;
 };
 
 /// A source of per-(frame, mask) evaluations. Accessors are non-const
@@ -148,9 +147,7 @@ class MatrixEvaluationSource final : public EvaluationSource {
     stats.ref_cost_ms = fe.ref_cost_ms;
     stats.max_cost_ms = fe.max_cost_ms;
     stats.available_mask = fe.available_mask;
-    stats.model_fault_ms = fe.model_fault_ms.empty() ? nullptr
-                                                     : &fe.model_fault_ms;
-    stats.fault_aware = fe.fault_aware;
+    stats.model_fault_ms = &fe.model_fault_ms;
     return stats;
   }
 
@@ -172,71 +169,8 @@ class MatrixEvaluationSource final : public EvaluationSource {
     return matrix_->frames[t].context;
   }
 
-  /// Only matrices built with keep_temporal_outputs carry the ground
-  /// truth and fused boxes the gate needs.
-  bool SupportsPropagation() const override {
-    return matrix_->temporal_outputs;
-  }
-
-  Result<double> ScorePropagated(size_t t,
-                                 const DetectionList& dets) override {
-    if (!matrix_->temporal_outputs) {
-      return Status::FailedPrecondition(
-          "matrix built without keep_temporal_outputs");
-    }
-    const GroundTruthIndex index =
-        BuildGroundTruthIndex(matrix_->frames[t].gt_objects);
-    return FrameMeanAp(dets, index, matrix_->ap);
-  }
-
-  const DetectionList* FusedOutput(size_t t, EnsembleId mask) override {
-    if (!matrix_->temporal_outputs) return nullptr;
-    return &matrix_->frames[t].fused[mask];
-  }
-
-  const FrameMatrix& matrix() const { return *matrix_; }
-
  private:
   const FrameMatrix* matrix_;
-};
-
-/// Eager source that OWNS its matrix. The serving layer's StreamSessions
-/// (and anything else that hands a source off to another component) need
-/// the backing storage to travel with the source instead of referencing a
-/// caller-owned matrix.
-class OwningMatrixSource final : public EvaluationSource {
- public:
-  explicit OwningMatrixSource(FrameMatrix matrix)
-      : matrix_(std::move(matrix)), view_(matrix_) {}
-
-  int num_models() const override { return view_.num_models(); }
-  size_t num_frames() const override { return view_.num_frames(); }
-  FrameStats Stats(size_t t) override { return view_.Stats(t); }
-  MaskEvaluation Eval(size_t t, EnsembleId mask) override {
-    return view_.Eval(t, mask);
-  }
-  const std::vector<EnsembleId>* TrueFrontier(size_t t) override {
-    return view_.TrueFrontier(t);
-  }
-  SceneContext PeekContext(size_t t) override {
-    return view_.PeekContext(t);
-  }
-  bool SupportsPropagation() const override {
-    return view_.SupportsPropagation();
-  }
-  Result<double> ScorePropagated(size_t t,
-                                 const DetectionList& dets) override {
-    return view_.ScorePropagated(t, dets);
-  }
-  const DetectionList* FusedOutput(size_t t, EnsembleId mask) override {
-    return view_.FusedOutput(t, mask);
-  }
-
-  const FrameMatrix& matrix() const { return matrix_; }
-
- private:
-  FrameMatrix matrix_;  // must precede view_ (view borrows it)
-  MatrixEvaluationSource view_;
 };
 
 }  // namespace vqe

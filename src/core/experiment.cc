@@ -19,6 +19,26 @@ std::string SanitizeLabel(const std::string& label) {
   return out;
 }
 
+/// One trial's video and seed, shared by both backends so they sample
+/// identically.
+struct TrialVideo {
+  Video video;
+  uint64_t seed = 0;
+};
+
+Result<TrialVideo> SampleTrialVideo(const ExperimentConfig& config,
+                                    uint64_t trial_index) {
+  VQE_RETURN_NOT_OK(config.Validate());
+  TrialVideo trial;
+  trial.seed = HashCombine(config.base_seed, trial_index);
+  SampleOptions sample;
+  sample.scene_scale = config.scene_scale;
+  sample.seed = trial.seed;
+  VQE_ASSIGN_OR_RETURN(trial.video, SampleVideo(*config.dataset, sample));
+  if (config.video_transform) config.video_transform(trial.video, trial.seed);
+  return trial;
+}
+
 }  // namespace
 
 Status ExperimentConfig::Validate() const {
@@ -34,6 +54,11 @@ Status ExperimentConfig::Validate() const {
   }
   for (const FaultScript& script : fault_scripts) {
     VQE_RETURN_NOT_OK(script.Validate());
+  }
+  if (evaluation == EvaluationMode::kEager && engine.skip.enabled()) {
+    return Status::InvalidArgument(
+        "skip-enabled experiments need lazy evaluation: the eager matrix "
+        "keeps no fused boxes or ground truth for the temporal gate");
   }
   VQE_RETURN_NOT_OK(matrix.Validate());
   return engine.Validate();
@@ -74,35 +99,17 @@ const StrategyOutcome* ExperimentResult::Find(const std::string& label) const {
 Result<FrameMatrix> BuildTrialMatrix(const ExperimentConfig& config,
                                      const DetectorPool& pool,
                                      uint64_t trial_index) {
-  VQE_RETURN_NOT_OK(config.Validate());
-  const uint64_t trial_seed = HashCombine(config.base_seed, trial_index);
-  SampleOptions sample;
-  sample.scene_scale = config.scene_scale;
-  sample.seed = trial_seed;
-  VQE_ASSIGN_OR_RETURN(Video video, SampleVideo(*config.dataset, sample));
-  if (config.video_transform) config.video_transform(video, trial_seed);
-  // A skip-enabled engine scores propagated detections against ground
-  // truth, which the eager backend can only do when the matrix kept its
-  // per-frame temporal outputs — flip the flag rather than make every
-  // caller remember the coupling.
-  MatrixOptions matrix_options = config.matrix;
-  if (config.engine.skip.enabled()) {
-    matrix_options.keep_temporal_outputs = true;
-  }
-  return BuildFrameMatrix(video, pool, trial_seed, matrix_options);
+  VQE_ASSIGN_OR_RETURN(TrialVideo trial,
+                       SampleTrialVideo(config, trial_index));
+  return BuildFrameMatrix(trial.video, pool, trial.seed, config.matrix);
 }
 
 Result<std::unique_ptr<LazyFrameEvaluator>> BuildTrialEvaluator(
     const ExperimentConfig& config, const DetectorPool& pool,
     uint64_t trial_index) {
-  VQE_RETURN_NOT_OK(config.Validate());
-  const uint64_t trial_seed = HashCombine(config.base_seed, trial_index);
-  SampleOptions sample;
-  sample.scene_scale = config.scene_scale;
-  sample.seed = trial_seed;
-  VQE_ASSIGN_OR_RETURN(Video video, SampleVideo(*config.dataset, sample));
-  if (config.video_transform) config.video_transform(video, trial_seed);
-  return LazyFrameEvaluator::Create(std::move(video), pool, trial_seed,
+  VQE_ASSIGN_OR_RETURN(TrialVideo trial,
+                       SampleTrialVideo(config, trial_index));
+  return LazyFrameEvaluator::Create(std::move(trial.video), pool, trial.seed,
                                     config.matrix);
 }
 
@@ -135,12 +142,16 @@ Result<ExperimentResult> RunExperiment(
   }
 
   // Resolve the evaluation mode once, before any trial runs. kAuto goes
-  // lazy only when laziness can pay off: every strategy in the line-up is
-  // online (!needs_full_lattice()) and the engine will not run the
-  // full-lattice regret scan. Factories are instantiated once here purely
-  // to read the flag; trial runs make fresh instances as before.
-  bool lazy = config.evaluation == EvaluationMode::kLazy;
-  if (config.evaluation == EvaluationMode::kAuto &&
+  // lazy when the run skips frames (only the lazy source serves the
+  // temporal gate), and otherwise only when laziness can pay off: every
+  // strategy in the line-up is online (!needs_full_lattice()) and the
+  // engine will not run the full-lattice regret scan. Factories are
+  // instantiated once here purely to read the flag; trial runs make fresh
+  // instances as before.
+  bool lazy = config.evaluation == EvaluationMode::kLazy ||
+              (config.evaluation == EvaluationMode::kAuto &&
+               config.engine.skip.enabled());
+  if (config.evaluation == EvaluationMode::kAuto && !lazy &&
       !config.engine.compute_regret) {
     lazy = true;
     for (const auto& spec : strategies) {

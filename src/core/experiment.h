@@ -29,12 +29,14 @@ struct StrategySpec {
 
 /// How each trial materializes its frame evaluations.
 enum class EvaluationMode {
-  /// Lazy when it can only help: every strategy is online
-  /// (!needs_full_lattice()) and the engine skips the regret baseline
-  /// (engine.compute_regret == false, since regret scans the full lattice
-  /// anyway). Otherwise eager.
+  /// Lazy when the run needs it or it can only help: the engine skips
+  /// frames (engine.skip.enabled(); only the lazy source serves the
+  /// temporal gate), or every strategy is online (!needs_full_lattice())
+  /// and the engine skips the regret baseline (engine.compute_regret ==
+  /// false, since regret scans the full lattice anyway). Otherwise eager.
   kAuto,
   /// Always build the full FrameMatrix per trial (the original pipeline).
+  /// Incompatible with engine.skip (Validate rejects the pair).
   kEager,
   /// Always run strategies against a LazyFrameEvaluator. Useful for
   /// equivalence testing; slower than eager for full-lattice strategies.

@@ -6,12 +6,16 @@
 
 namespace vqe {
 
+FrameEvalContext::FrameEvalContext(const MatrixOptions& options,
+                                   const EnsembleMethod& fusion)
+    : options_(&options), fusion_(&fusion) {}
+
 FrameEvalContext::FrameEvalContext(const VideoFrame& frame,
                                    const DetectorPool& pool,
                                    uint64_t trial_seed,
                                    const MatrixOptions& options,
                                    const EnsembleMethod& fusion)
-    : options_(&options), fusion_(&fusion) {
+    : FrameEvalContext(options, fusion) {
   Load(frame, pool, trial_seed);
 }
 
@@ -48,19 +52,16 @@ void FrameEvalContext::Load(const VideoFrame& frame, const DetectorPool& pool,
   IndexFrame(&ref_gt, &frame.objects);
 }
 
-FrameEvalContext::FrameEvalContext(std::vector<DetectionList> model_out,
-                                   std::vector<double> model_cost_ms,
-                                   EnsembleId available_mask,
-                                   const GroundTruthList* ref_gt,
-                                   const GroundTruthList* gt,
-                                   const MatrixOptions& options,
-                                   const EnsembleMethod& fusion)
-    : options_(&options),
-      fusion_(&fusion),
-      model_out_(std::move(model_out)),
-      model_cost_ms_(std::move(model_cost_ms)),
-      available_mask_(available_mask) {
-  IndexFrame(ref_gt, gt);
+void FrameEvalContext::Load(std::vector<DetectionList>* model_out,
+                            std::vector<double>* model_cost_ms,
+                            EnsembleId available_mask,
+                            const GroundTruthList* ref_gt) {
+  model_out_.swap(*model_out);
+  model_cost_ms_.swap(*model_cost_ms);
+  model_fault_ms_.clear();
+  available_mask_ = available_mask;
+  ref_cost_ms_ = 0.0;
+  IndexFrame(ref_gt, /*gt=*/nullptr);
 }
 
 void FrameEvalContext::IndexFrame(const GroundTruthList* ref_gt,

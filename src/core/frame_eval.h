@@ -65,6 +65,10 @@ struct MaskEvaluation {
 /// the per-model lists, the SoA lanes and the fused scratch.
 class FrameEvalContext {
  public:
+  /// An empty context holding no frame; Load() fills it. `options` and
+  /// `fusion` must outlive the context.
+  FrameEvalContext(const MatrixOptions& options, const EnsembleMethod& fusion);
+
   /// Runs all m detectors and the reference model on `frame`. `pool`,
   /// `options` and `fusion` must outlive the context.
   FrameEvalContext(const VideoFrame& frame, const DetectorPool& pool,
@@ -82,18 +86,19 @@ class FrameEvalContext {
   void Load(const VideoFrame& frame, const DetectorPool& pool,
             uint64_t trial_seed);
 
-  /// Caches member outputs the caller already ran: `model_out` and
-  /// `model_cost_ms` are index-aligned with the pool (empty output and
-  /// zero cost for a model that did not run or failed), and
-  /// `available_mask` marks the models whose output exists. The REF index
-  /// is built only when `ref_gt` is non-null and the ground-truth index
-  /// only when `gt` is non-null; without them Evaluate leaves est_ap and
-  /// true_ap at 0. model_fault_ms() is empty: the caller accounts its own
-  /// fault time. `options` and `fusion` must outlive the context.
-  FrameEvalContext(std::vector<DetectionList> model_out,
-                   std::vector<double> model_cost_ms, EnsembleId available_mask,
-                   const GroundTruthList* ref_gt, const GroundTruthList* gt,
-                   const MatrixOptions& options, const EnsembleMethod& fusion);
+  /// Replaces the cached frame with member outputs the caller already
+  /// ran, rebuilding the indexes in place like the running Load:
+  /// `model_out` and `model_cost_ms` are index-aligned with the pool
+  /// (empty output and zero cost for a model that did not run or failed),
+  /// and `available_mask` marks the models whose output exists. Both
+  /// vectors are swapped in, so the caller gets the previous frame's
+  /// buffers back to refill. The REF index is built only when `ref_gt` is
+  /// non-null (else Evaluate leaves est_ap at 0), and no ground-truth
+  /// index is built (true_ap stays 0). model_fault_ms() is empty: the
+  /// caller accounts its own fault time.
+  void Load(std::vector<DetectionList>* model_out,
+            std::vector<double>* model_cost_ms, EnsembleId available_mask,
+            const GroundTruthList* ref_gt);
 
   int num_models() const { return static_cast<int>(model_out_.size()); }
   const std::vector<double>& model_cost_ms() const { return model_cost_ms_; }

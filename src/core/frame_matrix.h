@@ -43,15 +43,6 @@ struct MatrixOptions {
   /// bit-for-bit. Shared by the eager build and the lazy evaluator so both
   /// backends see identical call outcomes.
   RetryPolicy retry;
-  /// Keep the per-frame ground truth and every mask's fused DetectionList
-  /// in the matrix (FrameEvaluation::{gt_objects, fused}) so the eager
-  /// backend can serve the temporal skip gate: the gate ingests the
-  /// realized mask's fused boxes into its tracker and scores propagated
-  /// boxes against ground truth without re-running anything. Off by
-  /// default — it multiplies matrix memory by the lattice's box count and
-  /// only skip-enabled eager runs read it. In-memory only: the matrix
-  /// serializer does not persist these fields.
-  bool keep_temporal_outputs = false;
 
   Status Validate() const;
 };
@@ -80,23 +71,13 @@ struct FrameEvaluation {
   /// engine's oracle scan is O(|frontier|) instead of O(2^m). Empty means
   /// "not cached: scan every mask" (hand-built matrices in tests).
   std::vector<EnsembleId> best_true_candidates;
-  /// Models whose detector call succeeded on this frame (after retries).
-  /// Meaningful only when fault_aware; a selected mask degrades to
-  /// `selected & available_mask` in the engine.
+  /// Models whose detector call succeeded on this frame (after retries);
+  /// a selected mask degrades to `selected & available_mask` in the engine.
   EnsembleId available_mask = 0;
-  /// Wasted per-model time: failed attempts + backoff (size m when
-  /// fault_aware, else empty). Included in model_cost_ms; the engine splits
-  /// it back out into TimeBreakdown.fault_ms.
+  /// Wasted per-model time: failed attempts + backoff (size m). Included
+  /// in model_cost_ms; the engine splits it back out into
+  /// TimeBreakdown.fault_ms.
   std::vector<double> model_fault_ms;
-  /// True for evaluations produced by the fault-aware pipeline. Hand-built
-  /// matrices in tests leave it false, and the engine then treats every
-  /// model as available.
-  bool fault_aware = false;
-  /// Populated only under MatrixOptions::keep_temporal_outputs: the
-  /// frame's ground truth and each mask's fused output (indexed by
-  /// EnsembleId, index 0 unused), for the temporal skip gate.
-  GroundTruthList gt_objects;
-  std::vector<DetectionList> fused;
 };
 
 /// The whole evaluation matrix for one (video, trial) pair.
@@ -104,11 +85,6 @@ struct FrameMatrix {
   int num_models = 0;
   std::vector<std::string> model_names;
   std::vector<FrameEvaluation> frames;
-  /// AP options the matrix was scored with; the temporal skip path reuses
-  /// them to score propagated detections on the same scale.
-  ApOptions ap;
-  /// True when frames carry gt_objects/fused (keep_temporal_outputs).
-  bool temporal_outputs = false;
 
   size_t size() const { return frames.size(); }
   uint32_t num_ensembles() const { return NumEnsembles(num_models); }

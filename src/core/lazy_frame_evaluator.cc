@@ -32,7 +32,8 @@ LazyFrameEvaluator::LazyFrameEvaluator(Video video, const DetectorPool& pool,
       pool_(&pool),
       trial_seed_(trial_seed),
       options_(options),
-      fusion_(std::move(fusion)) {
+      fusion_(std::move(fusion)),
+      live_(options_, *fusion_) {
   slots_.resize(video_.size());
 }
 
@@ -41,12 +42,7 @@ LazyFrameEvaluator::FrameSlot& LazyFrameEvaluator::Touch(size_t t) {
     // Reloading is deterministic, so a frame read again after the live
     // context moved on (an out-of-order read, or a slot restored from a
     // snapshot) rebuilds exactly the context it had before.
-    if (live_ == nullptr) {
-      live_ = std::make_unique<FrameEvalContext>(
-          video_.frames[t], *pool_, trial_seed_, options_, *fusion_);
-    } else {
-      live_->Load(video_.frames[t], *pool_, trial_seed_);
-    }
+    live_.Load(video_.frames[t], *pool_, trial_seed_);
     live_t_ = t;
   }
   FrameSlot& slot = slots_[t];
@@ -54,7 +50,7 @@ LazyFrameEvaluator::FrameSlot& LazyFrameEvaluator::Touch(size_t t) {
   // and was counted as touched in the restored counters.
   if (slot.memo.empty()) {
     const uint32_t num_masks = num_ensembles();
-    slot.max_cost_ms = live_->FullEnsembleCostMs();
+    slot.max_cost_ms = live_.FullEnsembleCostMs();
     slot.memo.resize(num_masks + 1);
     slot.known.assign(num_masks + 1, 0);
     ++frames_touched_;
@@ -66,12 +62,11 @@ FrameStats LazyFrameEvaluator::Stats(size_t t) {
   FrameSlot& slot = Touch(t);
   FrameStats stats;
   stats.context = video_.frames[t].context;
-  stats.model_cost_ms = &live_->model_cost_ms();
-  stats.ref_cost_ms = live_->ref_cost_ms();
+  stats.model_cost_ms = &live_.model_cost_ms();
+  stats.ref_cost_ms = live_.ref_cost_ms();
   stats.max_cost_ms = slot.max_cost_ms;
-  stats.available_mask = live_->available_mask();
-  stats.model_fault_ms = &live_->model_fault_ms();
-  stats.fault_aware = true;
+  stats.available_mask = live_.available_mask();
+  stats.model_fault_ms = &live_.model_fault_ms();
   return stats;
 }
 
@@ -84,7 +79,7 @@ MaskEvaluation LazyFrameEvaluator::Eval(size_t t, EnsembleId mask) {
     return cached.memo[mask];
   }
   FrameSlot& slot = Touch(t);
-  slot.memo[mask] = live_->Evaluate(mask);
+  slot.memo[mask] = live_.Evaluate(mask);
   slot.known[mask] = 1;
   ++masks_materialized_;
   return slot.memo[mask];
@@ -104,7 +99,7 @@ const DetectionList* LazyFrameEvaluator::FusedOutput(size_t t,
   // realized mask's subset lattice first); Evaluate is re-run regardless
   // because the memo keeps no boxes. One extra fusion per detect frame,
   // dwarfed by the m detector calls the frame already paid.
-  live_->Evaluate(mask, &fused_buf_);
+  live_.Evaluate(mask, &fused_buf_);
   return &fused_buf_;
 }
 

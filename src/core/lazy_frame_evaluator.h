@@ -137,8 +137,8 @@ class LazyFrameEvaluator final : public EvaluationSource {
   std::unique_ptr<EnsembleMethod> fusion_;
   std::vector<FrameSlot> slots_;
   /// The one materialized frame, reloaded in place when a read moves to
-  /// another frame; created on the first touch.
-  std::unique_ptr<FrameEvalContext> live_;
+  /// another frame; empty until the first touch.
+  FrameEvalContext live_;
   size_t live_t_ = kNoFrame;
   size_t frames_touched_ = 0;
   uint64_t masks_materialized_ = 0;

@@ -488,8 +488,16 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       (needs_tracks && gate == nullptr) ? &tracker : nullptr;
 
   std::vector<double> est_score(num_masks + 1);
+  // One frame context for the whole query, reloaded in place per detect
+  // frame with the member outputs the loop ran; its SoA lanes, REF index
+  // and fused scratch keep their capacity across frames. The member
+  // buffers are swapped with the context's on every Load, so they too are
+  // reused.
+  FrameEvalContext frame_eval(options.matrix, *fusion);
+  std::vector<DetectionList> model_out;
+  std::vector<double> model_cost;
   // The realized mask's fused output; reused across frames, so copying it
-  // out of the per-frame FrameEvalContext stops allocating once warm.
+  // out of the frame context stops allocating once warm.
   DetectionList selected_fused;
   const double nan = std::numeric_limits<double>::quiet_NaN();
 
@@ -646,8 +654,9 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
           pool.detectors[static_cast<size_t>(i)]->InferenceCostMs(
               frame, options.seed);
     }
-    std::vector<DetectionList> model_out(static_cast<size_t>(m));
-    std::vector<double> model_cost(static_cast<size_t>(m), 0.0);
+    model_out.resize(static_cast<size_t>(m));
+    for (DetectionList& dets : model_out) dets.clear();
+    model_cost.assign(static_cast<size_t>(m), 0.0);
     EnsembleId realized = 0;
     for (int i = 0; i < m; ++i) {
       if (!ContainsModel(selected, i)) continue;
@@ -719,9 +728,8 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       // no ground truth, so the kernel builds no ground-truth index. Each
       // subset's fusion overhead is charged to the frame, and its cost is
       // normalized by Σ_i c_i plus that overhead.
-      FrameEvalContext frame_eval(std::move(model_out), std::move(model_cost),
-                                  realized, uses_ref ? &ref_gt : nullptr,
-                                  /*gt=*/nullptr, options.matrix, *fusion);
+      frame_eval.Load(&model_out, &model_cost, realized,
+                      uses_ref ? &ref_gt : nullptr);
       est_score.assign(num_masks + 1, nan);
       ForEachSubset(realized, [&](EnsembleId sub) {
         const MaskEvaluation e = frame_eval.Evaluate(

@@ -1,8 +1,9 @@
 #include "serve/overload.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
+
+#include "common/math_util.h"
 
 namespace vqe {
 
@@ -27,20 +28,6 @@ bool operator==(const DegradationTransition& a,
          a.queue_triggered == b.queue_triggered &&
          a.observed_p99_ms == b.observed_p99_ms &&
          a.queue_depth == b.queue_depth;
-}
-
-double SamplePercentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  if (q <= 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Nearest-rank: ceil(q * n), 1-based, clamped into the sample range.
-  size_t rank = static_cast<size_t>(
-      std::ceil(q * static_cast<double>(samples.size())));
-  if (rank == 0) rank = 1;
-  if (rank > samples.size()) rank = samples.size();
-  std::nth_element(samples.begin(), samples.begin() + (rank - 1),
-                   samples.end());
-  return samples[rank - 1];
 }
 
 Status OverloadOptions::Validate() const {

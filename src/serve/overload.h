@@ -119,10 +119,6 @@ inline bool operator!=(const DegradationTransition& a,
   return !(a == b);
 }
 
-/// Nearest-rank percentile (q in [0, 1]) of a sample set; takes the
-/// samples by value because selection reorders them. 0 on empty input.
-double SamplePercentile(std::vector<double> samples, double q);
-
 /// The ladder state machine. Driven by one StreamScheduler from its own
 /// thread: RecordFrameCost in deterministic slot order after each round's
 /// stepping, then EndRound exactly once per round. Not thread-safe.

@@ -1,26 +1,13 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
+#include "common/math_util.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 
 namespace vqe {
-namespace {
-
-/// Nearest-rank percentile of an unsorted sample set (q in [0, 1]).
-double Percentile(std::vector<double>& samples, double q) {
-  if (samples.empty()) return 0.0;
-  const size_t rank = static_cast<size_t>(
-      std::min<double>(samples.size() - 1,
-                       std::ceil(q * static_cast<double>(samples.size())) - 1));
-  std::nth_element(samples.begin(), samples.begin() + rank, samples.end());
-  return samples[rank];
-}
-
-}  // namespace
 
 Status ServeOptions::Validate() const {
   if (max_sessions < 1) {
@@ -482,9 +469,9 @@ Result<ServeReport> StreamScheduler::FinishServing() {
             });
   stats_.wall_ms = serving_ ? wall_.ElapsedMillis() : 0.0;
   if (!all_latencies_ms_.empty()) {
-    stats_.frame_p50_ms = Percentile(all_latencies_ms_, 0.50);
-    stats_.frame_p99_ms = Percentile(all_latencies_ms_, 0.99);
-    stats_.frame_p999_ms = Percentile(all_latencies_ms_, 0.999);
+    stats_.frame_p50_ms = SamplePercentile(all_latencies_ms_, 0.50);
+    stats_.frame_p99_ms = SamplePercentile(all_latencies_ms_, 0.99);
+    stats_.frame_p999_ms = SamplePercentile(all_latencies_ms_, 0.999);
   }
   for (int c = 0; c < kNumPriorityClasses; ++c) {
     ServeStats::ClassStats& cs = stats_.classes[c];

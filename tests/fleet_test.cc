@@ -33,6 +33,7 @@
 #include "serve/scheduler.h"
 #include "serve/stream_session.h"
 #include "sim/dataset.h"
+#include "test_util.h"
 
 namespace vqe {
 namespace {
@@ -129,9 +130,10 @@ RunResult SoloBaseline(const Video& video, const DetectorPool& base,
 
 /// Result-returning session builder — safe to call from shard threads
 /// (no gtest assertions), which is exactly what SessionFactory requires.
+/// Eager sessions (lazy false) view a matrix kept in `matrices`.
 Result<std::unique_ptr<StreamSession>> BuildSession(
     const Video& video, const DetectorPool& base, const StreamSpec& spec,
-    bool lazy, bool faults) {
+    bool lazy, bool faults, test::MatrixKeeper* matrices = nullptr) {
   std::vector<std::unique_ptr<DetectorPool>> owned;
   const DetectorPool* pool = &base;
   if (faults) {
@@ -148,7 +150,7 @@ Result<std::unique_ptr<StreamSession>> BuildSession(
   } else {
     VQE_ASSIGN_OR_RETURN(FrameMatrix matrix,
                          BuildFrameMatrix(video, *pool, spec.trial_seed, {}));
-    source = std::make_unique<OwningMatrixSource>(std::move(matrix));
+    source = matrices->View(std::move(matrix));
   }
   StreamSessionConfig cfg;
   cfg.name = spec.name;
@@ -162,9 +164,10 @@ Result<std::unique_ptr<StreamSession>> BuildSession(
 }
 
 SessionFactory MakeFactory(const Video& video, const DetectorPool& base,
-                           StreamSpec spec, bool lazy, bool faults) {
-  return [&video, &base, spec, lazy, faults] {
-    return BuildSession(video, base, spec, lazy, faults);
+                           StreamSpec spec, bool lazy, bool faults,
+                           test::MatrixKeeper* matrices = nullptr) {
+  return [&video, &base, spec, lazy, faults, matrices] {
+    return BuildSession(video, base, spec, lazy, faults, matrices);
   };
 }
 
@@ -284,19 +287,20 @@ TEST(SessionImplantTest, CorruptSnapshotRejectedAndTargetUnharmed) {
   const DetectorPool pool = MakePool(3);
   const Video video = MakeVideo(0.02, 17);
   const StreamSpec spec{"victim", "MES", PriorityClass::kStandard, 9, 42};
+  test::MatrixKeeper matrices;
 
-  auto source =
-      std::move(BuildSession(video, pool, spec, /*lazy=*/false, false))
-          .value();
+  auto source = std::move(BuildSession(video, pool, spec, /*lazy=*/false,
+                                       false, &matrices))
+                    .value();
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(source->StepFrame().ok());
   std::vector<uint8_t> snapshot = std::move(source->ExportState()).value();
 
   // Every 3rd byte flipped (the full sweep lives at the payload layer; here
   // we pin that a damaged *engine* snapshot is DataLoss and leaves the
   // target in its pristine state).
-  auto target =
-      std::move(BuildSession(video, pool, spec, /*lazy=*/false, false))
-          .value();
+  auto target = std::move(BuildSession(video, pool, spec, /*lazy=*/false,
+                                       false, &matrices))
+                    .value();
   for (size_t i = 0; i < snapshot.size(); i += 3) {
     std::vector<uint8_t> bad = snapshot;
     bad[i] ^= 0x10;
@@ -318,17 +322,19 @@ TEST(SessionImplantTest, CrossSessionFingerprintIsFailedPrecondition) {
   const StreamSpec mes{"a", "MES", PriorityClass::kStandard, 9, 42};
   const StreamSpec sw{"b", "SW-MES", PriorityClass::kStandard, 9, 42};
   const StreamSpec reseeded{"c", "MES", PriorityClass::kStandard, 9, 43};
+  test::MatrixKeeper matrices;
 
-  auto source =
-      std::move(BuildSession(video, pool, mes, /*lazy=*/false, false)).value();
+  auto source = std::move(BuildSession(video, pool, mes, /*lazy=*/false,
+                                       false, &matrices))
+                    .value();
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(source->StepFrame().ok());
   const std::vector<uint8_t> snapshot =
       std::move(source->ExportState()).value();
 
   for (const StreamSpec* other : {&sw, &reseeded}) {
-    auto target =
-        std::move(BuildSession(video, pool, *other, /*lazy=*/false, false))
-            .value();
+    auto target = std::move(BuildSession(video, pool, *other,
+                                         /*lazy=*/false, false, &matrices))
+                      .value();
     const Status status = target->ImplantState(snapshot);
     EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
         << status.ToString();
@@ -455,11 +461,12 @@ TEST(ShardedServerTest, MultiShardFleetMatchesSoloAcrossBackendsAndWorkers) {
         FleetOptions opt;
         opt.num_shards = num_shards;
         opt.shard = FineGrainedShard(workers);
+        test::MatrixKeeper matrices;  // outlives the server's sessions
         ShardedServer server(opt);
         std::vector<FleetStreamSpec> fleet;
         for (const StreamSpec& spec : specs) {
-          fleet.push_back(
-              {spec.name, MakeFactory(video, pool, spec, lazy, true)});
+          fleet.push_back({spec.name, MakeFactory(video, pool, spec, lazy,
+                                                  true, &matrices)});
         }
         const FleetReport report =
             std::move(server.Run(std::move(fleet))).value();
@@ -488,6 +495,7 @@ TEST(ShardedServerTest, FleetFrontDoorShedsBeyondGlobalCap) {
   opt.num_shards = 2;
   opt.max_sessions = 2;
   opt.shard = FineGrainedShard(1);
+  test::MatrixKeeper matrices;  // outlives the server's sessions
   ShardedServer server(opt);
   std::vector<FleetStreamSpec> fleet;
   std::vector<StreamSpec> specs;
@@ -495,7 +503,8 @@ TEST(ShardedServerTest, FleetFrontDoorShedsBeyondGlobalCap) {
     StreamSpec spec{"shed" + std::to_string(i), "MES",
                     PriorityClass::kStandard, 9, 42};
     specs.push_back(spec);
-    fleet.push_back({spec.name, MakeFactory(video, pool, spec, false, false)});
+    fleet.push_back({spec.name, MakeFactory(video, pool, spec, false, false,
+                                            &matrices)});
   }
   const FleetReport report = std::move(server.Run(std::move(fleet))).value();
   EXPECT_EQ(report.stats.submitted, 4u);
@@ -582,10 +591,11 @@ TEST(ShardedServerTest, CorruptedMigrationIsRejectedAndStreamRestarts) {
     damage.truncate = truncate;
     chaos.events.push_back(damage);
 
+    test::MatrixKeeper matrices;  // outlives the server's sessions
     ShardedServer server(opt);
     const FleetReport report =
         std::move(server.Run({{mover, MakeFactory(video, pool, spec, false,
-                                                  true)}},
+                                                  true, &matrices)}},
                              chaos))
             .value();
     EXPECT_EQ(report.stats.migration.attempted, 1u);
@@ -674,10 +684,12 @@ TEST(ShardedServerTest, SkewRebalancingMigratesOffTheBusiestShard) {
   opt.num_shards = 2;
   opt.rebalance_threshold = 2;
   opt.shard = FineGrainedShard(1);
+  test::MatrixKeeper matrices;  // outlives the server's sessions
   ShardedServer server(opt);
   std::vector<FleetStreamSpec> fleet;
   for (const StreamSpec& spec : specs) {
-    fleet.push_back({spec.name, MakeFactory(video, pool, spec, false, false)});
+    fleet.push_back({spec.name, MakeFactory(video, pool, spec, false, false,
+                                            &matrices)});
   }
   const FleetReport report =
       std::move(server.Run(std::move(fleet))).value();
@@ -744,11 +756,12 @@ TEST(ShardedServerTest, ChaosMatrixEveryCompletingStreamIsBitIdentical) {
       kill.shard = 1;
       chaos.events.push_back(kill);
 
+      test::MatrixKeeper matrices;  // outlives the server's sessions
       ShardedServer server(opt);
       std::vector<FleetStreamSpec> fleet;
       for (const StreamSpec& spec : specs) {
-        fleet.push_back(
-            {spec.name, MakeFactory(video, pool, spec, lazy, true)});
+        fleet.push_back({spec.name, MakeFactory(video, pool, spec, lazy,
+                                                true, &matrices)});
       }
       const FleetReport report =
           std::move(server.Run(std::move(fleet), chaos)).value();

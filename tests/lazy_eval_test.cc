@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/baselines.h"
 #include "core/engine.h"
 #include "core/experiment.h"
@@ -23,6 +24,7 @@
 #include "core/strategy_factory.h"
 #include "models/model_zoo.h"
 #include "sim/dataset.h"
+#include "temporal/skip_policy.h"
 
 namespace vqe {
 namespace {
@@ -123,7 +125,11 @@ void ExpectSameRun(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.breakdown.detector_ms, b.breakdown.detector_ms);
   EXPECT_EQ(a.breakdown.reference_ms, b.breakdown.reference_ms);
   EXPECT_EQ(a.breakdown.ensembling_ms, b.breakdown.ensembling_ms);
+  EXPECT_EQ(a.breakdown.tracker_ms, b.breakdown.tracker_ms);
   EXPECT_EQ(a.selection_counts, b.selection_counts);
+  EXPECT_EQ(a.skip.skipped_frames, b.skip.skipped_frames);
+  EXPECT_EQ(a.skip.detect_frames, b.skip.detect_frames);
+  EXPECT_EQ(a.skip.propagated_ap_sum, b.skip.propagated_ap_sum);
 }
 
 // Every cell and every frame stat, for each fusion family the cache
@@ -497,6 +503,80 @@ TEST(LazyEvalTest, AutoKeepsEagerForOracleLineup) {
   EXPECT_TRUE(result.outcomes[0].regret_available);
   // OPT's regret against its own argmax baseline is exactly zero.
   EXPECT_EQ(result.outcomes[0].runs[0].regret, 0.0);
+}
+
+// The eager matrix keeps no fused boxes or ground truth, so an experiment
+// that forces it together with frame skipping is a configuration error.
+TEST(LazyEvalTest, EagerExperimentWithSkipIsRejected) {
+  ExperimentConfig config;
+  config.dataset = *DatasetCatalog::Default().Find("nusc-night");
+  config.scene_scale = 0.02;
+  config.trials = 1;
+  config.evaluation = EvaluationMode::kEager;
+  config.engine.skip.mode = SkipMode::kFixedInterval;
+  config.engine.skip.skip_budget = 2;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+
+  const DetectorPool pool = MakePool(2);
+  const std::vector<StrategySpec> mes = {
+      {"MES", [] { return std::move(MakeStrategy("MES")).value(); }}};
+  EXPECT_EQ(RunExperiment(config, pool, mes).status().code(),
+            StatusCode::kInvalidArgument);
+
+  for (const EvaluationMode mode :
+       {EvaluationMode::kAuto, EvaluationMode::kLazy}) {
+    config.evaluation = mode;
+    EXPECT_TRUE(config.Validate().ok());
+  }
+  config.evaluation = EvaluationMode::kEager;
+  config.engine.skip.skip_budget = 0;  // skipping disabled
+  EXPECT_TRUE(config.Validate().ok());
+}
+
+// Skipping overrides kAuto's eager choice for OPT and regret: only the
+// lazy source serves the temporal gate. Every trial must equal a solo
+// RunStrategy over that trial's BuildTrialEvaluator source, bit for bit.
+TEST(LazyEvalTest, AutoGoesLazyForSkipWithOracleAndRegret) {
+  const DetectorPool pool = MakePool(3);
+
+  ExperimentConfig config;
+  config.dataset = *DatasetCatalog::Default().Find("nusc-lowmotion");
+  config.scene_scale = 0.004;
+  config.trials = 2;
+  config.pool_size = 3;
+  config.base_seed = 19;
+  config.engine.compute_regret = true;
+  config.engine.skip.mode = SkipMode::kFixedInterval;
+  config.engine.skip.skip_budget = 3;
+  ASSERT_EQ(config.evaluation, EvaluationMode::kAuto);
+
+  auto spec = [](const char* name) {
+    return StrategySpec{
+        name, [name] { return std::move(MakeStrategy(name)).value(); }};
+  };
+  const std::vector<StrategySpec> strategies = {spec("OPT"), spec("MES")};
+  const ExperimentResult result =
+      std::move(RunExperiment(config, pool, strategies)).value();
+  ASSERT_EQ(result.outcomes.size(), strategies.size());
+
+  for (size_t i = 0; i < strategies.size(); ++i) {
+    EXPECT_TRUE(result.outcomes[i].regret_available);
+    for (int trial = 0; trial < config.trials; ++trial) {
+      SCOPED_TRACE(strategies[i].label + "/trial" + std::to_string(trial));
+      const uint64_t trial_index = static_cast<uint64_t>(trial);
+      auto source =
+          std::move(BuildTrialEvaluator(config, pool, trial_index)).value();
+      EngineOptions engine = config.engine;
+      engine.strategy_seed =
+          HashCombine(config.base_seed, 0xABCD0000ULL + trial_index);
+      const std::unique_ptr<SelectionStrategy> strategy =
+          strategies[i].make();
+      const RunResult solo =
+          std::move(RunStrategy(*source, strategy.get(), engine)).value();
+      EXPECT_GT(solo.skip.skipped_frames, 0u);
+      ExpectSameRun(solo, result.outcomes[i].runs[trial_index]);
+    }
+  }
 }
 
 }  // namespace

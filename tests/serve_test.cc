@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/math_util.h"
 #include "common/status.h"
 #include "core/baselines.h"
 #include "core/ducb.h"
@@ -34,6 +35,7 @@
 #include "serve/stream_session.h"
 #include "sim/dataset.h"
 #include "temporal/skip_policy.h"
+#include "test_util.h"
 
 namespace vqe {
 namespace {
@@ -145,7 +147,7 @@ RunResult SoloBaseline(const Video& video, const DetectorPool& base,
 std::unique_ptr<StreamSession> MakeServeSession(
     const Video& video, const DetectorPool& base, const StreamSpec& spec,
     bool lazy, bool faults, EngineOptions engine_override = {},
-    bool use_override = false) {
+    bool use_override = false, test::MatrixKeeper* matrices = nullptr) {
   std::vector<std::unique_ptr<DetectorPool>> owned;
   const DetectorPool* pool = &base;
   if (faults) {
@@ -161,7 +163,7 @@ std::unique_ptr<StreamSession> MakeServeSession(
         std::move(LazyFrameEvaluator::Create(video, *pool, spec.trial_seed, {}))
             .value();
   } else {
-    source = std::make_unique<OwningMatrixSource>(
+    source = matrices->View(
         std::move(BuildFrameMatrix(video, *pool, spec.trial_seed, {}))
             .value());
   }
@@ -245,20 +247,20 @@ TEST(StreamSessionTest, CreateValidatesInputs) {
   const Video video = MakeVideo(0.01, 3);
   StreamSpec spec{"s", "MES", PriorityClass::kStandard, 1, 2};
 
+  const FrameMatrix matrix =
+      std::move(BuildFrameMatrix(video, pool, 1, {})).value();
   StreamSessionConfig nameless;
-  auto source = std::make_unique<OwningMatrixSource>(
-      std::move(BuildFrameMatrix(video, pool, 1, {})).value());
-  auto r = StreamSession::Create(nameless, std::move(source),
-                                 MakeStrategy("MES"));
+  auto r = StreamSession::Create(
+      nameless, std::make_unique<MatrixEvaluationSource>(matrix),
+      MakeStrategy("MES"));
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 
   StreamSessionConfig cfg;
   cfg.name = "s";
   cfg.model_names = {"just-one"};  // pool has two models
-  auto source2 = std::make_unique<OwningMatrixSource>(
-      std::move(BuildFrameMatrix(video, pool, 1, {})).value());
-  auto r2 = StreamSession::Create(cfg, std::move(source2),
-                                  MakeStrategy("MES"));
+  auto r2 = StreamSession::Create(
+      cfg, std::make_unique<MatrixEvaluationSource>(matrix),
+      MakeStrategy("MES"));
   EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
 
   cfg.model_names.clear();
@@ -423,11 +425,12 @@ void RunBitIdentityCase(const Video& video, const DetectorPool& pool,
   opt.quantum_ms = 40.0;
   opt.max_frames_per_round = 8;
   opt.parallelism = workers;
+  test::MatrixKeeper matrices;  // outlives the scheduler's sessions
   StreamScheduler scheduler(opt);
 
   for (size_t i = 0; i < specs.size(); ++i) {
-    auto id =
-        scheduler.Submit(MakeServeSession(video, pool, specs[i], lazy, faults));
+    auto id = scheduler.Submit(MakeServeSession(
+        video, pool, specs[i], lazy, faults, {}, false, &matrices));
     ASSERT_TRUE(id.ok()) << id.status().ToString();
     EXPECT_EQ(*id, i);
   }
@@ -702,6 +705,7 @@ TEST(SamplePercentileTest, NearestRank) {
   EXPECT_EQ(SamplePercentile(ten, 0.5), 5.0);   // ceil(0.5 * 10) = 5th
   EXPECT_EQ(SamplePercentile(ten, 0.99), 10.0);  // ceil(9.9) = 10th
   EXPECT_EQ(SamplePercentile(ten, 1.0), 10.0);
+  EXPECT_EQ(SamplePercentile(ten, 0.0), 1.0);  // rank clamps to the 1st
 }
 
 TEST(OverloadOptionsTest, DisabledBypassesValidation) {

@@ -444,11 +444,9 @@ std::unique_ptr<SelectionStrategy> MakeStrategy(const std::string& kind) {
 /// One run on the chosen backend/worker count, fresh source each call.
 Result<RunResult> RunOnce(const Video& video, const DetectorPool& pool,
                           const std::string& kind, bool lazy_backend,
-                          int workers, bool keep_temporal,
-                          const EngineOptions& engine) {
+                          int workers, const EngineOptions& engine) {
   MatrixOptions matrix_options;
   matrix_options.parallelism = workers;
-  matrix_options.keep_temporal_outputs = keep_temporal;
   std::unique_ptr<SelectionStrategy> strategy = MakeStrategy(kind);
   if (lazy_backend) {
     auto lazy = LazyFrameEvaluator::Create(video, pool, /*trial_seed=*/9,
@@ -491,7 +489,7 @@ void ExpectSameRun(const RunResult& a, const RunResult& b) {
 // The disabled-path invariant: with skipping off (the default, and the
 // explicit budget-0 spelling), every strategy on both backends at several
 // worker counts produces the same bits it produced before this subsystem
-// existed — including on a matrix that carries the temporal extras.
+// existed.
 TEST(TemporalEngineTest, DisabledPathIsBitIdenticalEverywhere) {
   const DetectorPool pool = MakePool(3);
   const Video video = MakeVideo("nusc-night", 0.02, 17);
@@ -509,9 +507,8 @@ TEST(TemporalEngineTest, DisabledPathIsBitIdenticalEverywhere) {
   const std::vector<std::string> kinds = {"MES",   "MES-B", "SW-MES",
                                           "D-MES", "RAND",  "EF"};
   for (const std::string& kind : kinds) {
-    const Result<RunResult> baseline =
-        RunOnce(video, pool, kind, /*lazy=*/false, /*workers=*/1,
-                /*keep_temporal=*/false, engine);
+    const Result<RunResult> baseline = RunOnce(
+        video, pool, kind, /*lazy=*/false, /*workers=*/1, engine);
     ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
     EXPECT_EQ(baseline->skip.skipped_frames, 0u);
     EXPECT_EQ(baseline->breakdown.tracker_ms, 0.0);
@@ -519,24 +516,24 @@ TEST(TemporalEngineTest, DisabledPathIsBitIdenticalEverywhere) {
     for (const bool lazy_backend : {false, true}) {
       for (const int workers : {1, 4}) {
         for (const bool zero_budget : {false, true}) {
-          for (const bool keep_temporal : {false, true}) {
-            SCOPED_TRACE(kind + (lazy_backend ? "/lazy" : "/eager") + "/w" +
-                         std::to_string(workers) +
-                         (zero_budget ? "/budget0" : "/default") +
-                         (keep_temporal ? "/keep" : ""));
-            const Result<RunResult> run = RunOnce(
-                video, pool, kind, lazy_backend, workers, keep_temporal,
-                zero_budget ? budget_zero : engine);
-            ASSERT_TRUE(run.ok()) << run.status().ToString();
-            ExpectSameRun(*baseline, *run);
-          }
+          SCOPED_TRACE(kind + (lazy_backend ? "/lazy" : "/eager") + "/w" +
+                       std::to_string(workers) +
+                       (zero_budget ? "/budget0" : "/default"));
+          const Result<RunResult> run =
+              RunOnce(video, pool, kind, lazy_backend, workers,
+                      zero_budget ? budget_zero : engine);
+          ASSERT_TRUE(run.ok()) << run.status().ToString();
+          ExpectSameRun(*baseline, *run);
         }
       }
     }
   }
 }
 
-TEST(TemporalEngineTest, SkipEnabledRunsMatchAcrossBackendsAndWorkers) {
+// Only the lazy backend serves skip-enabled runs (the eager matrix keeps
+// no boxes or ground truth); a run must not depend on the matrix options'
+// worker count or on which fresh source it gets.
+TEST(TemporalEngineTest, SkipEnabledRunsMatchAcrossWorkers) {
   const DetectorPool pool = MakePool(3);
   const Video video = MakeVideo("nusc-lowmotion", 0.004, 17);
   ASSERT_GT(video.size(), 12u);
@@ -547,28 +544,24 @@ TEST(TemporalEngineTest, SkipEnabledRunsMatchAcrossBackendsAndWorkers) {
   engine.skip.mode = SkipMode::kFixedInterval;
   engine.skip.skip_budget = 3;
 
-  const Result<RunResult> baseline =
-      RunOnce(video, pool, "MES", /*lazy=*/true, /*workers=*/1,
-              /*keep_temporal=*/false, engine);
+  const Result<RunResult> baseline = RunOnce(
+      video, pool, "MES", /*lazy=*/true, /*workers=*/1, engine);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   EXPECT_GT(baseline->skip.skipped_frames, 0u);
   EXPECT_GT(baseline->breakdown.tracker_ms, 0.0);
 
-  for (const bool lazy_backend : {false, true}) {
-    for (const int workers : {1, 4}) {
-      SCOPED_TRACE(std::string(lazy_backend ? "lazy" : "eager") + "/w" +
-                   std::to_string(workers));
-      // The eager backend needs the temporal extras kept in the matrix.
-      const Result<RunResult> run =
-          RunOnce(video, pool, "MES", lazy_backend, workers,
-                  /*keep_temporal=*/!lazy_backend, engine);
-      ASSERT_TRUE(run.ok()) << run.status().ToString();
-      ExpectSameRun(*baseline, *run);
-    }
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE("lazy/w" + std::to_string(workers));
+    const Result<RunResult> run =
+        RunOnce(video, pool, "MES", /*lazy=*/true, workers, engine);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectSameRun(*baseline, *run);
   }
 }
 
-TEST(TemporalEngineTest, EagerBackendWithoutTemporalOutputsIsRejected) {
+// The eager matrix holds only the lattice's scalars, so a skip-enabled run
+// over it is refused up front instead of failing on its first skip.
+TEST(TemporalEngineTest, MatrixSourceRejectsSkip) {
   const DetectorPool pool = MakePool(2);
   const Video video = MakeVideo("nusc-night", 0.02, 17);
 
@@ -577,9 +570,8 @@ TEST(TemporalEngineTest, EagerBackendWithoutTemporalOutputsIsRejected) {
   engine.skip.mode = SkipMode::kFixedInterval;
   engine.skip.skip_budget = 2;
 
-  const Result<RunResult> run =
-      RunOnce(video, pool, "MES", /*lazy=*/false, /*workers=*/1,
-              /*keep_temporal=*/false, engine);
+  const Result<RunResult> run = RunOnce(video, pool, "MES", /*lazy=*/false,
+                                        /*workers=*/1, engine);
   EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -597,9 +589,9 @@ TEST(TemporalEngineTest, LowMotionSkippingCutsSimulatedTime) {
   skipping.skip.skip_budget = 4;
 
   const Result<RunResult> base =
-      RunOnce(video, pool, "MES", /*lazy=*/true, 1, false, plain);
+      RunOnce(video, pool, "MES", /*lazy=*/true, 1, plain);
   const Result<RunResult> fast =
-      RunOnce(video, pool, "MES", /*lazy=*/true, 1, false, skipping);
+      RunOnce(video, pool, "MES", /*lazy=*/true, 1, skipping);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
 
@@ -642,7 +634,7 @@ TEST(TemporalEngineTest, BanditSkipRunCrashResumesBitIdentically) {
   engine.skip.skip_budget = 3;
 
   const Result<RunResult> baseline =
-      RunOnce(video, pool, "MES", /*lazy=*/true, 1, false, engine);
+      RunOnce(video, pool, "MES", /*lazy=*/true, 1, engine);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   ASSERT_GT(baseline->skip.skipped_frames, 0u);
 
@@ -654,7 +646,7 @@ TEST(TemporalEngineTest, BanditSkipRunCrashResumesBitIdentically) {
   RunResult resumed;
   for (int attempt = 1; attempt <= 64; ++attempt) {
     Result<RunResult> run =
-        RunOnce(video, pool, "MES", /*lazy=*/true, 1, false, ck);
+        RunOnce(video, pool, "MES", /*lazy=*/true, 1, ck);
     if (run.ok()) {
       invocations = attempt;
       resumed = std::move(run).value();
@@ -681,19 +673,19 @@ TEST(TemporalEngineTest, ResumeWithDifferentSkipSettingsIsRejected) {
   ck.checkpoint.every_frames = 4;
   ck.checkpoint.crash_after_frames = 6;
   ck.checkpoint.directory = ScratchDir("skip-identity");
-  ASSERT_EQ(RunOnce(video, pool, "MES", true, 1, false, ck).status().code(),
+  ASSERT_EQ(RunOnce(video, pool, "MES", true, 1, ck).status().code(),
             StatusCode::kAborted);
 
   EngineOptions other = ck;
   other.checkpoint.crash_after_frames = 0;
   other.skip.skip_budget = 4;
   EXPECT_EQ(
-      RunOnce(video, pool, "MES", true, 1, false, other).status().code(),
+      RunOnce(video, pool, "MES", true, 1, other).status().code(),
       StatusCode::kFailedPrecondition);
 
   ck.checkpoint.crash_after_frames = 0;
   const Result<RunResult> ok =
-      RunOnce(video, pool, "MES", true, 1, false, ck);
+      RunOnce(video, pool, "MES", true, 1, ck);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_TRUE(ok->checkpoint.resumed);
 }

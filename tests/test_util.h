@@ -1,13 +1,18 @@
 // Shared helpers for tests: synthetic frame matrices with controlled
-// per-arm reward structure (and optional concept drift).
+// per-arm reward structure (and optional concept drift), and a keeper for
+// the eager matrices serving sessions view.
 
 #ifndef VQE_TESTS_TEST_UTIL_H_
 #define VQE_TESTS_TEST_UTIL_H_
 
+#include <deque>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/math_util.h"
 #include "common/rng.h"
+#include "core/evaluation_source.h"
 #include "core/frame_matrix.h"
 
 namespace vqe {
@@ -38,6 +43,8 @@ inline FrameMatrix SyntheticMatrix(int m, size_t frames,
     fe.cost_ms.assign(num_masks + 1, 0.0);
     fe.fusion_overhead_ms.assign(num_masks + 1, 0.01);
     fe.model_cost_ms = model_cost;
+    fe.available_mask = FullEnsemble(m);
+    fe.model_fault_ms.assign(static_cast<size_t>(m), 0.0);
     fe.ref_cost_ms = 1.0;
     const bool flipped = drift_flip && t >= frames / 2;
     for (EnsembleId s = 1; s <= num_masks; ++s) {
@@ -67,6 +74,24 @@ inline FrameMatrix SimpleTwoModelMatrix(size_t frames, uint64_t seed = 1,
   return SyntheticMatrix(2, frames, {0.0, 0.8, 0.3, 0.85}, {10.0, 10.0},
                          false, noise, seed);
 }
+
+/// Keeps the eager matrices a test's serving sessions view: a session
+/// owns its EvaluationSource, but a MatrixEvaluationSource only views its
+/// matrix, so the test holds the matrices next to its pools. Declare it
+/// before the scheduler or server whose sessions it backs. Thread-safe:
+/// fleet shards build sessions concurrently.
+class MatrixKeeper {
+ public:
+  std::unique_ptr<EvaluationSource> View(FrameMatrix matrix) {
+    std::lock_guard<std::mutex> lock(mu_);
+    matrices_.push_back(std::move(matrix));
+    return std::make_unique<MatrixEvaluationSource>(matrices_.back());
+  }
+
+ private:
+  std::mutex mu_;
+  std::deque<FrameMatrix> matrices_;  // push_back keeps references valid
+};
 
 }  // namespace test
 }  // namespace vqe

@@ -14,7 +14,7 @@
 # snapshot/checkpoint stack (hostile-byte parsing plus the crash-resume
 # matrix) — corrupt snapshots must fail with a clean Status, never UB —
 # and the serving layer (scheduler rounds stepping sessions in parallel,
-# cross-stream batch coalescing, the thread pool shutdown contract), plus
+# the thread pool shutdown contract), plus
 # the temporal skip gate (tracker propagation, skip-policy snapshots, and
 # the skip-enabled crash-resume and disabled-path invariants), plus the
 # sharded fleet (shard threads, live migration payloads, scripted chaos —
