@@ -28,7 +28,7 @@ Result<std::vector<uint8_t>> BuildEngineSnapshot(
     const EngineRunIdentity& identity, size_t next_frame, double algo_seconds,
     const RunResult& result, const SelectionStrategy& strategy,
     const std::vector<CircuitBreaker>& breakers, const EvaluationSource& source,
-    bool include_source, const TemporalGate* gate, double last_max_cost_ms) {
+    const TemporalGate* gate, double last_max_cost_ms) {
   SnapshotWriter snap;
   WriteEngineIdentity(snap.AddSection(kEngineMetaSection), identity);
   {
@@ -44,9 +44,7 @@ Result<std::vector<uint8_t>> BuildEngineSnapshot(
     w.F64(last_max_cost_ms);
     VQE_RETURN_NOT_OK(gate->SaveState(w));
   }
-  if (include_source) {
-    VQE_RETURN_NOT_OK(source.SaveState(snap.AddSection(kSourceSection)));
-  }
+  VQE_RETURN_NOT_OK(source.SaveState(snap.AddSection(kSourceSection)));
   return snap.Finish();
 }
 
@@ -59,8 +57,8 @@ Status RestoreEngineRun(const SnapshotReader& snap,
                         SelectionStrategy* strategy, EvaluationSource& source,
                         std::vector<CircuitBreaker>* breakers,
                         RunResult* result, size_t* next_frame,
-                        double* algo_seconds, bool include_source,
-                        TemporalGate* gate, double* last_max_cost_ms) {
+                        double* algo_seconds, TemporalGate* gate,
+                        double* last_max_cost_ms) {
   VQE_ASSIGN_OR_RETURN(ByteReader meta, snap.Section(kEngineMetaSection));
   EngineRunIdentity saved;
   VQE_RETURN_NOT_OK(ReadEngineIdentity(meta, &saved));
@@ -105,11 +103,9 @@ Status RestoreEngineRun(const SnapshotReader& snap,
     VQE_RETURN_NOT_OK(tmp.ExpectEnd());
   }
 
-  if (include_source && snap.HasSection(kSourceSection)) {
-    VQE_ASSIGN_OR_RETURN(ByteReader src, snap.Section(kSourceSection));
-    VQE_RETURN_NOT_OK(source.RestoreState(src));
-    VQE_RETURN_NOT_OK(src.ExpectEnd());
-  }
+  VQE_ASSIGN_OR_RETURN(ByteReader src, snap.Section(kSourceSection));
+  VQE_RETURN_NOT_OK(source.RestoreState(src));
+  VQE_RETURN_NOT_OK(src.ExpectEnd());
 
   const RunResult::CheckpointReport report = result->checkpoint;
   *result = std::move(restored);
@@ -208,8 +204,7 @@ Status EngineRun::Init() {
         VQE_RETURN_NOT_OK(RestoreEngineRun(
             loaded->snapshot, identity, num_masks_, strategy_, *source_,
             &breakers_, &result_, &next_frame_, &saved_algo_seconds,
-            options_.checkpoint.include_source, gate_.get(),
-            &last_max_cost_ms_));
+            gate_.get(), &last_max_cost_ms_));
         algo_time_.Add(saved_algo_seconds);
         result_.checkpoint.resumed = true;
         result_.checkpoint.resumed_from_frame = next_frame_;
@@ -597,13 +592,9 @@ Result<std::vector<uint8_t>> EngineRun::ExportSnapshot() const {
   if (finished_) {
     return Status::FailedPrecondition("ExportSnapshot on a finished run");
   }
-  // include_source mirrors the checkpoint policy (default true): the lazy
-  // memo is a cache, so results are identical either way — carrying it
-  // just spares the migration target recomputation.
   return BuildEngineSnapshot(identity_->identity, next_frame_,
                              algo_time_.total_seconds(), result_, *strategy_,
-                             breakers_, *source_,
-                             options_.checkpoint.include_source, gate_.get(),
+                             breakers_, *source_, gate_.get(),
                              last_max_cost_ms_);
 }
 
@@ -619,8 +610,8 @@ Status EngineRun::RestoreFromSnapshot(const SnapshotReader& snapshot) {
   double saved_algo_seconds = 0.0;
   VQE_RETURN_NOT_OK(RestoreEngineRun(
       snapshot, identity_->identity, num_masks_, strategy_, *source_,
-      &breakers_, &result_, &next_frame_, &saved_algo_seconds,
-      options_.checkpoint.include_source, gate_.get(), &last_max_cost_ms_));
+      &breakers_, &result_, &next_frame_, &saved_algo_seconds, gate_.get(),
+      &last_max_cost_ms_));
   algo_time_.Add(saved_algo_seconds);
   return Status::OK();
 }
@@ -662,8 +653,7 @@ Status EngineRun::FrameEpilogue(size_t t) {
         std::vector<uint8_t> bytes,
         BuildEngineSnapshot(identity_->identity, t + 1,
                             algo_time_.total_seconds(), result_, *strategy_,
-                            breakers_, *source_,
-                            options_.checkpoint.include_source, gate_.get(),
+                            breakers_, *source_, gate_.get(),
                             last_max_cost_ms_));
     VQE_RETURN_NOT_OK(ckpt_->Write(next_generation_, bytes));
     ++next_generation_;

@@ -18,8 +18,9 @@
 //                    (avg_* fields hold running SUMS until the run ends).
 //   strategy       — SelectionStrategy::SaveState payload.
 //   breakers       — per-model CircuitBreaker state machines.
-//   source         — EvaluationSource::SaveState payload (lazy memo), only
-//                    when CheckpointPolicy::include_source.
+//   source         — EvaluationSource::SaveState payload: empty for the
+//                    eager matrix, the lazy evaluator's three counters
+//                    (fixed size; no memo cell is carried).
 
 #ifndef VQE_CORE_ENGINE_SNAPSHOT_H_
 #define VQE_CORE_ENGINE_SNAPSHOT_H_

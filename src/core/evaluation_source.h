@@ -11,12 +11,12 @@
 //
 //   * LazyFrameEvaluator (core/lazy_frame_evaluator.h) — materializes a
 //     ⟨est_ap, true_ap, cost, overhead⟩ cell on first access, memoized
-//     per (frame, mask). Online strategies (MES family, SGL, RAND, EF)
-//     only ever touch the subset lattices of their selections, so runs
+//     for the live frame only. Online strategies (MES family, SGL, RAND,
+//     EF) only ever touch the subset lattices of their selections, so runs
 //     cost O(|V|·2^|S|) fusions instead of O(|V|·2^m). It keeps one frame
 //     live, so it is built for readers that walk frames in ascending
-//     order; reading another frame's uncached cell or stats re-runs that
-//     frame's detectors. It owns the video, so it also serves the
+//     order; any read of another frame re-runs that frame's detectors and
+//     starts a fresh memo. It owns the video, so it also serves the
 //     temporal skip gate.
 //
 // Both run mask evaluations through the same FrameEvalContext kernel, so
@@ -113,11 +113,11 @@ class EvaluationSource {
   /// (EngineOptions::compute_regret).
   virtual const std::vector<EnsembleId>* TrueFrontier(size_t t) = 0;
 
-  /// Serializes whatever cached evaluation state is worth carrying across
-  /// a restart. Cells are pure functions of (frame, mask), so this is a
-  /// cache-warmth/accounting concern, never a correctness one; the default
-  /// (and the eager matrix view, which is rebuilt deterministically) writes
-  /// nothing.
+  /// Serializes the source's accounting state across a restart. Cells are
+  /// pure functions of (frame, mask), so no cell is ever carried: the
+  /// default (and the eager matrix view, which is rebuilt
+  /// deterministically) writes nothing, and the lazy evaluator writes only
+  /// its counters.
   virtual Status SaveState(ByteWriter& writer) const {
     (void)writer;
     return Status::OK();

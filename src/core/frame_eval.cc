@@ -70,8 +70,8 @@ void FrameEvalContext::IndexFrame(const GroundTruthList* ref_gt,
   // every evaluation.
   has_ref_ = ref_gt != nullptr;
   has_gt_ = gt != nullptr;
-  if (has_ref_) ref_index_ = BuildGroundTruthIndex(*ref_gt);
-  if (has_gt_) gt_index_ = BuildGroundTruthIndex(*gt);
+  if (has_ref_) RebuildGroundTruthIndex(*ref_gt, &ref_index_);
+  if (has_gt_) RebuildGroundTruthIndex(*gt, &gt_index_);
   // The SoA store is built for every fusion method: its per-class,
   // presorted pools feed the grouped flatten of all 2^m − 1 mask
   // evaluations. The pairwise-IoU tile on top of it pays off only for
@@ -81,7 +81,7 @@ void FrameEvalContext::IndexFrame(const GroundTruthList* ref_gt,
   const int num_ids = AssignFrameDetIds(model_out_);
   soa_.Rebuild(model_out_, num_ids);
   if (fusion_->ConsumesIouCache()) {
-    iou_cache_ = PairwiseIouCache(soa_);
+    iou_cache_.Rebuild(soa_);
   }
   // Warm the reused fused-output buffer: no fusion method emits more
   // boxes than it was given, so the mask loop never regrows it.

@@ -134,7 +134,8 @@ class FrameEvalContext {
   const FrameSoA& soa() const { return soa_; }
 
  private:
-  /// Builds the per-frame invariants of the mask loop over model_out_.
+  /// Builds the per-frame invariants of the mask loop over model_out_, in
+  /// place: the indexes, the SoA lanes and the IoU tile keep their buffers.
   void IndexFrame(const GroundTruthList* ref_gt, const GroundTruthList* gt);
 
   const MatrixOptions* options_;

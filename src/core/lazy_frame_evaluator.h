@@ -5,20 +5,21 @@
 // does exponentially more fusion work than the run observes. This source
 // runs a frame's detectors when a read first needs them and materializes
 // a mask's ⟨est_ap, true_ap, cost, overhead⟩ cell on first read, memoized
-// per (frame, mask); repeated reads — subset updates, window replays,
-// oracle probes — are free.
+// for the live frame; repeated reads of that frame — the subset updates
+// of one step, the oracle probes, the other strategies of a lockstep
+// experiment — are free.
 //
 // One frame is live at a time. Subset reuse only needs the current
 // frame's member outputs, so the evaluator keeps a single
 // FrameEvalContext and reloads it in place (FrameEvalContext::Load) when
-// a read moves to another frame; per frame it keeps only the cost
-// normalizer and the memo, and memory does not grow with the detector
-// outputs of past frames. Readers are expected to walk frames in
-// ascending order, as EngineRun does. Any other order is correct but
-// pays: an uncached cell or a Stats() read on a frame other than the
-// live one re-runs that frame's detectors. That is why RunExperiment
-// steps a trial's strategies in frame lockstep and SGL's calibration
-// scans frame-major.
+// a read moves to another frame, together with a fixed-size memo of 2^m
+// cells and the frame's cost normalizer, both cleared on every load.
+// Memory therefore does not grow with the video. Readers are expected to
+// walk frames in ascending order, as EngineRun does. Any other order is
+// correct but pays: every read of a frame other than the live one re-runs
+// that frame's detectors and forgets the live frame's memo. That is why
+// RunExperiment steps a trial's strategies in frame lockstep and SGL's
+// calibration scans frame-major.
 //
 // All evaluation goes through the same FrameEvalContext kernel as the
 // eager build, so every materialized cell is bit-identical to the
@@ -93,21 +94,22 @@ class LazyFrameEvaluator final : public EvaluationSource {
 
   const Video& video() const { return video_; }
 
-  /// Instrumentation: distinct frames whose detectors have run (a frame
-  /// reloaded by an out-of-order read counts once).
+  /// Instrumentation: frame loads, i.e. how many times a read made a frame
+  /// live and ran its detectors. An ascending walk loads each frame once;
+  /// a frame read again after another one went live counts again.
   size_t frames_touched() const { return frames_touched_; }
-  /// Distinct (frame, mask) cells fused and scored. An eager build does
-  /// num_frames() · num_ensembles() of these; the gap is the work lazy
-  /// evaluation skipped.
+  /// Cells fused and scored on a miss of the live frame's memo. An eager
+  /// build does num_frames() · num_ensembles() of these; the gap is the
+  /// work lazy evaluation skipped.
   uint64_t masks_materialized() const { return masks_materialized_; }
   /// Eval calls served from the memo without fusing.
   uint64_t memo_hits() const { return memo_hits_; }
 
-  /// Serializes the memo (counters + every known cell per touched frame).
-  /// Restored cells are served without re-running detectors; a frame's
-  /// detectors run again only if an unknown mask or Stats() is requested
-  /// for it while another frame is live (deterministic, so values match).
-  /// Restoring keeps the live context: it depends only on its frame.
+  /// Serializes the three counters above, nothing else: a fixed-size
+  /// payload whatever the run's progress. No cell is carried, since every
+  /// cell is a pure function of (frame, mask) and a resumed run reads from
+  /// its cursor frame on. Restoring keeps the live context and its memo,
+  /// which depend only on their frame.
   Status SaveState(ByteWriter& writer) const override;
   Status RestoreState(ByteReader& reader) override;
 
@@ -116,17 +118,9 @@ class LazyFrameEvaluator final : public EvaluationSource {
                      uint64_t trial_seed, const MatrixOptions& options,
                      std::unique_ptr<EnsembleMethod> fusion);
 
-  /// What outlives the live frame: the normalizer and the memo.
-  struct FrameSlot {
-    double max_cost_ms = 0.0;
-    /// Memo indexed by mask (index 0 unused), allocated on frame touch.
-    std::vector<MaskEvaluation> memo;
-    std::vector<uint8_t> known;
-  };
-
-  /// Makes frame t the live frame (running its detectors unless it
-  /// already is) and allocates its memo on first access.
-  FrameSlot& Touch(size_t t);
+  /// Makes frame t the live frame unless it already is: reloads the
+  /// context (running its detectors) and clears the memo.
+  void Touch(size_t t);
 
   static constexpr size_t kNoFrame = static_cast<size_t>(-1);
 
@@ -135,11 +129,15 @@ class LazyFrameEvaluator final : public EvaluationSource {
   uint64_t trial_seed_;
   MatrixOptions options_;
   std::unique_ptr<EnsembleMethod> fusion_;
-  std::vector<FrameSlot> slots_;
   /// The one materialized frame, reloaded in place when a read moves to
   /// another frame; empty until the first touch.
   FrameEvalContext live_;
   size_t live_t_ = kNoFrame;
+  /// The live frame's cost normalizer and memo. The memo is indexed by
+  /// mask (index 0 unused), sized once and cleared on every load.
+  double live_max_cost_ms_ = 0.0;
+  std::vector<MaskEvaluation> memo_;
+  std::vector<uint8_t> known_;
   size_t frames_touched_ = 0;
   uint64_t masks_materialized_ = 0;
   uint64_t memo_hits_ = 0;

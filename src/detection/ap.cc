@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <new>
 #include <set>
 
@@ -233,20 +234,40 @@ const GroundTruthIndex::ClassEntry* GroundTruthIndex::Find(
 
 GroundTruthIndex BuildGroundTruthIndex(const GroundTruthList& ground_truth) {
   GroundTruthIndex index;
+  RebuildGroundTruthIndex(ground_truth, &index);
+  return index;
+}
+
+void RebuildGroundTruthIndex(const GroundTruthList& ground_truth,
+                             GroundTruthIndex* index) {
+  // Entries [0, live) form the index so far; the ones after it are spares
+  // from an earlier build, kept for their buffers. A new class takes the
+  // first spare and rotates it into its sorted place.
+  std::vector<GroundTruthIndex::ClassEntry>& classes = index->classes;
+  size_t live = 0;
   for (const auto& g : ground_truth) {
+    const auto end = classes.begin() + static_cast<std::ptrdiff_t>(live);
     auto it = std::lower_bound(
-        index.classes.begin(), index.classes.end(), g.label,
+        classes.begin(), end, g.label,
         [](const GroundTruthIndex::ClassEntry& e, ClassId l) {
           return e.label < l;
         });
-    if (it == index.classes.end() || it->label != g.label) {
-      it = index.classes.insert(it, GroundTruthIndex::ClassEntry{});
+    if (it == end || it->label != g.label) {
+      const std::ptrdiff_t pos = it - classes.begin();
+      if (live == classes.size()) classes.emplace_back();
+      const auto spare = classes.begin() + static_cast<std::ptrdiff_t>(live);
+      std::rotate(classes.begin() + pos, spare, spare + 1);
+      it = classes.begin() + pos;
       it->label = g.label;
+      it->boxes.clear();
+      it->has_evaluable = false;
+      ++live;
     }
     it->boxes.push_back(g);
     if (!g.difficult) it->has_evaluable = true;
   }
-  return index;
+  classes.erase(classes.begin() + static_cast<std::ptrdiff_t>(live),
+                classes.end());
 }
 
 double FrameMeanAp(const DetectionList& detections,

@@ -79,6 +79,13 @@ struct GroundTruthIndex {
 /// Partitions `ground_truth` by class.
 GroundTruthIndex BuildGroundTruthIndex(const GroundTruthList& ground_truth);
 
+/// Rebuilds `index` in place to what BuildGroundTruthIndex(ground_truth)
+/// returns, reusing its entries and their box buffers: a caller that
+/// indexes one frame after another allocates only when a frame has more
+/// classes, or more boxes in a class slot, than the frame before it.
+void RebuildGroundTruthIndex(const GroundTruthList& ground_truth,
+                             GroundTruthIndex* index);
+
 /// Mean AP over the union of classes present in detections or ground truth,
 /// with the zero-object conventions documented at the top of this header.
 double FrameMeanAp(const DetectionList& detections,

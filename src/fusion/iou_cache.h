@@ -48,6 +48,10 @@ class PairwiseIouCache {
   /// while honouring the bit-identity contract above.
   explicit PairwiseIouCache(const FrameSoA& soa);
 
+  /// Replaces the tile with the one PairwiseIouCache(soa) would build,
+  /// reusing the tile's buffer (the constructor delegates here).
+  void Rebuild(const FrameSoA& soa);
+
   /// Builds the tile over `per_model`, whose detections must carry the ids
   /// a prior AssignFrameDetIds(per_model) assigned; `num_ids` is its
   /// return value. Convenience wrapper: materializes a FrameSoA and runs

@@ -50,12 +50,6 @@ struct CheckpointPolicy {
   /// generations are left alone until overwritten by sequence number).
   bool resume = true;
 
-  /// Snapshot the evaluation source's memo (lazy backend) alongside engine
-  /// state. Costs snapshot bytes; without it a resumed lazy run recomputes
-  /// cells on demand (results are identical either way — the memo is a
-  /// cache — but the materialization counters then differ).
-  bool include_source = true;
-
   /// Crash injection for tests/demos: abort the run (Status::Aborted) after
   /// processing this many frames IN THIS INVOCATION. 0 = off.
   size_t crash_after_frames = 0;

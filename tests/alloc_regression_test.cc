@@ -138,6 +138,67 @@ TEST_P(AllocRegressionTest, SteadyStateMaskLoopIsAllocationFree) {
   }
 }
 
+// Reloading a warmed context through the member-outputs Load (no detector
+// call) with inputs of the same shape must not touch the heap either: the
+// REF index, the SoA lanes and the IoU tile are rebuilt in place.
+TEST_P(AllocRegressionTest, ReloadingMemberOutputsIsAllocationFree) {
+  const int m = 6;
+  const DetectorPool pool = MakePool(m);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/23);
+
+  MatrixOptions options;
+  options.fusion = GetParam();
+  auto fusion =
+      std::move(CreateEnsembleMethod(options.fusion, options.fusion_options))
+          .value();
+  const uint32_t num_masks = NumEnsembles(m);
+
+  // The first frame whose reference output survives the confidence cut,
+  // so the REF index has classes to rebuild.
+  std::vector<DetectionList> outputs(static_cast<size_t>(m));
+  std::vector<double> costs(static_cast<size_t>(m));
+  GroundTruthList ref_gt;
+  for (const VideoFrame& frame : video.frames) {
+    ref_gt = DetectionsAsGroundTruth(
+        pool.reference->Detect(frame, /*trial_seed=*/23),
+        options.ref_confidence_threshold);
+    if (ref_gt.empty()) continue;
+    for (size_t i = 0; i < outputs.size(); ++i) {
+      outputs[i] = pool.detectors[i]->Detect(frame, /*trial_seed=*/23);
+      costs[i] = pool.detectors[i]->InferenceCostMs(frame, /*trial_seed=*/23);
+    }
+    break;
+  }
+  ASSERT_FALSE(ref_gt.empty());
+  size_t total_boxes = 0;
+  for (const DetectionList& out : outputs) total_boxes += out.size();
+  ASSERT_GT(total_boxes, 0u);
+
+  FrameEvalContext ctx(options, *fusion);
+  std::vector<DetectionList> in;
+  std::vector<double> in_cost;
+  // Refills the inputs outside the counted region, then counts one Load.
+  auto reload = [&] {
+    in = outputs;
+    in_cost = costs;
+    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    ctx.Load(&in, &in_cost, FullEnsemble(m), &ref_gt);
+    return g_heap_allocs.load(std::memory_order_relaxed) - before;
+  };
+  // Load swaps the caller's vectors in and hands back the previous
+  // frame's, so two warm loads leave warmed buffers on both sides.
+  reload();
+  const PassCounters warm = MaskPass(ctx, num_masks);
+  reload();
+  const std::uint64_t load_allocs = reload();
+  const PassCounters steady = MaskPass(ctx, num_masks);
+  EXPECT_EQ(load_allocs, 0u)
+      << FusionKindToString(options.fusion)
+      << ": reloading same-shape member outputs hit the heap";
+  EXPECT_EQ(steady.heap_allocs, 0u) << FusionKindToString(options.fusion);
+  EXPECT_EQ(steady.checksum, warm.checksum);
+}
+
 INSTANTIATE_TEST_SUITE_P(FusionKinds, AllocRegressionTest,
                          ::testing::Values(FusionKind::kWbf, FusionKind::kNms,
                                            FusionKind::kConsensus),

@@ -710,9 +710,12 @@ TEST(IouTileKernelTest, MixedCachedAndUncachedIds) {
   EXPECT_EQ(tile.Get(cached_a, stray), IoU(cached_a.box, stray.box));
 }
 
-// The indexed FrameMeanAp overload must match the list overload exactly.
+// The indexed FrameMeanAp overload must match the list overload exactly,
+// and an index rebuilt in place over a different frame each trial (class
+// sets grow, shrink and shift) must equal a freshly built one.
 TEST(GroundTruthIndexTest, IndexedFrameMeanApMatchesListOverload) {
   Rng rng(47);
+  GroundTruthIndex reused;
   for (int trial = 0; trial < 20; ++trial) {
     GroundTruthList gt;
     const int num_gt = static_cast<int>(rng.UniformInt(8));
@@ -732,6 +735,21 @@ TEST(GroundTruthIndexTest, IndexedFrameMeanApMatchesListOverload) {
     }
     const GroundTruthIndex index = BuildGroundTruthIndex(gt);
     EXPECT_EQ(FrameMeanAp(dets, gt, {}), FrameMeanAp(dets, index, {}));
+
+    RebuildGroundTruthIndex(gt, &reused);
+    ASSERT_EQ(reused.classes.size(), index.classes.size()) << trial;
+    for (size_t c = 0; c < index.classes.size(); ++c) {
+      const GroundTruthIndex::ClassEntry& want = index.classes[c];
+      const GroundTruthIndex::ClassEntry& got = reused.classes[c];
+      EXPECT_EQ(got.label, want.label) << trial;
+      EXPECT_EQ(got.has_evaluable, want.has_evaluable) << trial;
+      ASSERT_EQ(got.boxes.size(), want.boxes.size()) << trial;
+      for (size_t i = 0; i < want.boxes.size(); ++i) {
+        EXPECT_EQ(got.boxes[i].box.x1, want.boxes[i].box.x1) << trial;
+        EXPECT_EQ(got.boxes[i].difficult, want.boxes[i].difficult) << trial;
+      }
+    }
+    EXPECT_EQ(FrameMeanAp(dets, reused, {}), FrameMeanAp(dets, index, {}));
   }
 }
 

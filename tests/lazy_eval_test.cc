@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <string>
@@ -183,7 +184,7 @@ TEST(LazyEvalTest, EveryCellBitIdenticalToEagerMatrix) {
 
 // The evaluator keeps one live frame and rebuilds any other frame on
 // demand, so reads in reverse or shuffled frame order, and reads after a
-// memo snapshot round trip, must still return exactly the eager cells.
+// state snapshot round trip, must still return exactly the eager cells.
 TEST(LazyEvalTest, OutOfOrderReadsMatchEager) {
   const int m = 3;
   const DetectorPool pool = MakePool(m);
@@ -236,40 +237,51 @@ TEST(LazyEvalTest, OutOfOrderReadsMatchEager) {
 
   {
     SCOPED_TRACE("save, restore, revisit");
-    // The saved evaluator knows the first half of the frames, partially.
+    // The saved evaluator has read part of the first half of the frames,
+    // one cell per frame twice.
     auto saved = make_lazy();
     const size_t half = matrix.size() / 2;
     for (size_t t = 0; t < half; ++t) {
       for (EnsembleId mask = 1; mask <= num_masks; mask += 2) {
         ExpectCellMatches(matrix, *saved, t, mask);
       }
+      ExpectCellMatches(matrix, *saved, t, 1);
     }
+    const size_t saved_frames = saved->frames_touched();
+    const uint64_t saved_masks = saved->masks_materialized();
+    const uint64_t saved_hits = saved->memo_hits();
+    EXPECT_EQ(saved_frames, half);
+    EXPECT_EQ(saved_hits, half);
     ByteWriter w;
     ASSERT_TRUE(saved->SaveState(w).ok());
+    EXPECT_EQ(w.size(), 3 * sizeof(uint64_t))
+        << "the payload is the counters, whatever was read";
 
     // Restore into a fresh evaluator, into one whose live frame lies
-    // outside the snapshot, and back into the saved one, whose live frame
-    // is inside it; then revisit every cell and stat in shuffled order.
+    // outside the saved run's frames, and back into the saved one, whose
+    // live frame is inside them. The counters round-trip; then every cell
+    // and stat is revisited in shuffled order.
     auto fresh = make_lazy();
     auto elsewhere = make_lazy();
     const size_t last = matrix.size() - 1;
     ExpectCellMatches(matrix, *elsewhere, last, 1);
-    // Each target with the frame that was live when it was restored.
+    // Each target with the frame its first read after the restore targets.
     const std::pair<LazyFrameEvaluator*, size_t> targets[] = {
         {fresh.get(), 0}, {elsewhere.get(), last}, {saved.get(), half - 1}};
     for (const auto& [target, live] : targets) {
       ByteReader r(w.bytes().data(), w.size());
       ASSERT_TRUE(target->RestoreState(r).ok());
       ASSERT_TRUE(r.ExpectEnd().ok());
-      EXPECT_EQ(target->frames_touched(), half);
-      // The still-live frame first: an unknown cell, then its stats.
+      EXPECT_EQ(target->frames_touched(), saved_frames);
+      EXPECT_EQ(target->masks_materialized(), saved_masks);
+      EXPECT_EQ(target->memo_hits(), saved_hits);
+      // An unknown cell, then the stats, of that frame first.
       ExpectCellMatches(matrix, *target, live, 2);
       ExpectStatsMatch(matrix, *target, live);
       for (const auto& [t, mask] : cells) {
         ExpectCellMatches(matrix, *target, t, mask);
         ExpectStatsMatch(matrix, *target, t);
       }
-      EXPECT_EQ(target->frames_touched(), matrix.size());
     }
   }
 }

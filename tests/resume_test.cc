@@ -23,6 +23,7 @@
 #include "core/baselines.h"
 #include "core/ducb.h"
 #include "core/engine.h"
+#include "core/engine_snapshot.h"
 #include "core/experiment.h"
 #include "core/lazy_frame_evaluator.h"
 #include "core/mes.h"
@@ -32,6 +33,8 @@
 #include "runtime/fault_injection.h"
 #include "sim/dataset.h"
 #include "snapshot/checkpoint.h"
+#include "snapshot/snapshot.h"
+#include "snapshot/wire.h"
 
 namespace vqe {
 namespace {
@@ -324,30 +327,59 @@ TEST(ResumeTest, BudgetedRunStopsAtTheSameFrameAfterResume) {
   ExpectSameRun(*baseline, resumed);
 }
 
-// A lazy run resumed WITHOUT the source memo section recomputes cells on
-// demand but still produces identical results — the memo is only a cache.
-TEST(ResumeTest, LazyResumeWithoutSourceSnapshotIsStillBitIdentical) {
+// A lazy run's snapshot carries only the evaluator's three counters, so a
+// checkpoint or migration payload is as large after 2k frames as after k.
+// A source section that still carries a memo after the counters (the
+// layout that kept every touched frame's cells) is DataLoss.
+TEST(ResumeTest, LazySnapshotSizeDoesNotGrowWithProgress) {
   const DetectorPool pool = MakePool(3);
   const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/31);
-  ASSERT_GT(video.size(), 10u);
+  const size_t k = 5;
+  ASSERT_GT(video.size(), 2 * k);
 
   EngineOptions engine;
   engine.strategy_seed = 11;
   engine.compute_regret = false;
 
-  const RunOnce run_once = MakeRunOnce(video, pool, "SW-MES", /*lazy=*/true,
-                                       /*workers=*/2, MatrixOptions{},
-                                       /*trial_seed=*/5);
-  const Result<RunResult> baseline = run_once(engine);
-  ASSERT_TRUE(baseline.ok());
+  auto lazy = std::move(LazyFrameEvaluator::Create(video, pool,
+                                                   /*trial_seed=*/5))
+                  .value();
+  const std::unique_ptr<SelectionStrategy> mes = MakeStrategy("MES");
+  auto run = std::move(EngineRun::Create(*lazy, mes.get(), engine)).value();
+  std::vector<uint8_t> after_k;
+  for (size_t t = 0; t < 2 * k; ++t) {
+    ASSERT_TRUE(run->StepFrame().ok());
+    if (t + 1 == k) after_k = std::move(run->ExportSnapshot()).value();
+  }
+  const std::vector<uint8_t> after_2k =
+      std::move(run->ExportSnapshot()).value();
+  EXPECT_EQ(after_k.size(), after_2k.size());
 
-  EngineOptions ck = engine;
-  ck.checkpoint.every_frames = 4;
-  ck.checkpoint.crash_after_frames = 6;
-  ck.checkpoint.include_source = false;
-  ck.checkpoint.directory = ScratchDir("lazy-no-source");
-  const RunResult resumed = RunWithCrashes(run_once, ck);
-  ExpectSameRun(*baseline, resumed);
+  // Copy every section, appending an empty memo (a frame count of zero)
+  // to the source section's counters.
+  const SnapshotReader snap =
+      std::move(SnapshotReader::Parse(after_2k)).value();
+  SnapshotWriter forged;
+  for (const std::string& name : snap.section_names()) {
+    ByteReader r = std::move(snap.Section(name)).value();
+    ByteWriter& w = forged.AddSection(name);
+    uint8_t byte = 0;
+    while (r.remaining() > 0) {
+      ASSERT_TRUE(r.U8(&byte).ok());
+      w.U8(byte);
+    }
+    if (name == kSourceSection) w.U64(0);
+  }
+  auto target_lazy = std::move(LazyFrameEvaluator::Create(video, pool,
+                                                          /*trial_seed=*/5))
+                         .value();
+  const std::unique_ptr<SelectionStrategy> target_mes = MakeStrategy("MES");
+  auto target =
+      std::move(EngineRun::Create(*target_lazy, target_mes.get(), engine))
+          .value();
+  const Status status = target->RestoreFromSnapshot(
+      std::move(SnapshotReader::Parse(forged.Finish())).value());
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
 }
 
 // ---------------------------------------------------------------------------
